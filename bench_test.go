@@ -204,10 +204,7 @@ func BenchmarkMessageRoundtrip(b *testing.B) {
 // BenchmarkClusterRound measures one full TDMA round of the Fig. 10 system
 // including jobs, virtual networks and diagnostics.
 func BenchmarkClusterRound(b *testing.B) {
-	sys := scenario.Fig10(benchSeed, diagnosis.Options{})
-	b.ReportAllocs()
-	b.ResetTimer()
-	sys.Run(int64(b.N))
+	benchRounds(b, scenario.Fig10(benchSeed, diagnosis.Options{}))
 }
 
 // BenchmarkClusterRoundUnderFault measures round cost with an active
@@ -215,9 +212,25 @@ func BenchmarkClusterRound(b *testing.B) {
 func BenchmarkClusterRoundUnderFault(b *testing.B) {
 	sys := scenario.Fig10(benchSeed, diagnosis.Options{})
 	sys.Injector.ConnectorTx(0, 0, 0, 0.3)
+	benchRounds(b, sys)
+}
+
+// benchRounds runs b.N rounds of sys and reports the virtual-network
+// receive work per round next to the timings. The work counters are
+// deterministic, so they show a change in decode effort exactly where the
+// ns/op figure is too noisy to.
+func benchRounds(b *testing.B, sys *scenario.System) {
 	b.ReportAllocs()
 	b.ResetTimer()
+	w0 := sys.Cluster.Fabric.Work()
 	sys.Run(int64(b.N))
+	w := sys.Cluster.Fabric.Work()
+	n := float64(b.N)
+	b.ReportMetric(float64(w.Broadcasts-w0.Broadcasts)/n, "vnet-broadcasts/round")
+	b.ReportMetric(float64(w.Segments-w0.Segments)/n, "vnet-segments/round")
+	b.ReportMetric(float64(w.BytesChecksummed-w0.BytesChecksummed)/n, "vnet-crc-bytes/round")
+	b.ReportMetric(float64(w.Deliveries-w0.Deliveries)/n, "vnet-deliveries/round")
+	b.ReportMetric(float64(w.PayloadCopies-w0.PayloadCopies)/n, "vnet-copies/round")
 }
 
 // BenchmarkBayesRound measures one full TDMA round with the Bayesian

@@ -198,8 +198,6 @@ func (cl *Cluster) AddJob(d *DAS, comp *Component, name string, partition int, i
 		Comp:      comp,
 		Partition: partition,
 		Impl:      impl,
-		in:        make(map[vnet.ChannelID]*vnet.InPort),
-		out:       make(map[vnet.ChannelID]*vnet.Network),
 	}
 	d.Jobs = append(d.Jobs, j)
 	comp.Jobs = append(comp.Jobs, j)
@@ -213,7 +211,7 @@ func (cl *Cluster) AddJob(d *DAS, comp *Component, name string, partition int, i
 // and registers the channel's LIF specification.
 func (cl *Cluster) Produce(j *Instance, n *vnet.Network, spec ChannelSpec) {
 	n.DeclareChannel(spec.Channel, j.Comp.ID)
-	j.out[spec.Channel] = n
+	j.out = append(j.out, outPort{spec.Channel, n})
 	cl.specs[spec.Channel] = spec
 }
 
@@ -221,7 +219,13 @@ func (cl *Cluster) Produce(j *Instance, n *vnet.Network, spec ChannelSpec) {
 // capacity (overwrite=true gives state-port semantics).
 func (cl *Cluster) Subscribe(j *Instance, ch vnet.ChannelID, capacity int, overwrite bool) *vnet.InPort {
 	p := cl.Fabric.Subscribe(j.Comp.ID, ch, capacity, overwrite)
-	j.in[ch] = p
+	for i, q := range j.in {
+		if q.Channel == ch {
+			j.in[i] = p
+			return p
+		}
+	}
+	j.in = append(j.in, p)
 	return p
 }
 
@@ -238,7 +242,7 @@ func (cl *Cluster) Specs() map[vnet.ChannelID]ChannelSpec { return cl.specs }
 func (cl *Cluster) Producer(ch vnet.ChannelID) *Instance {
 	for _, d := range cl.dass {
 		for _, j := range d.Jobs {
-			if _, ok := j.out[ch]; ok {
+			if j.outNet(ch) != nil {
 				return j
 			}
 		}

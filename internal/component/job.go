@@ -9,6 +9,7 @@ package component
 
 import (
 	"fmt"
+	"slices"
 
 	"decos/internal/sim"
 	"decos/internal/vnet"
@@ -67,8 +68,10 @@ type Instance struct {
 	Partition int
 	Impl      Job
 
-	in  map[vnet.ChannelID]*vnet.InPort
-	out map[vnet.ChannelID]*vnet.Network
+	// The job's ports in subscription/declaration order. A job has a
+	// handful, so a scan beats hashing the channel id.
+	in  []*vnet.InPort
+	out []outPort
 
 	// Halted stops the job from executing (crashed partition / disabled
 	// job). The encapsulation service guarantees a halted or misbehaving
@@ -90,35 +93,49 @@ func (j *Instance) String() string {
 	return fmt.Sprintf("%s/%s@%s", j.DAS.Name, j.Name, j.Comp.Name)
 }
 
+type outPort struct {
+	ch  vnet.ChannelID
+	net *vnet.Network
+}
+
 // InPort returns the job's subscription on ch, or nil.
-func (j *Instance) InPort(ch vnet.ChannelID) *vnet.InPort { return j.in[ch] }
+func (j *Instance) InPort(ch vnet.ChannelID) *vnet.InPort {
+	for _, p := range j.in {
+		if p.Channel == ch {
+			return p
+		}
+	}
+	return nil
+}
+
+// outNet returns the network the job produces ch on, or nil.
+func (j *Instance) outNet(ch vnet.ChannelID) *vnet.Network {
+	for _, p := range j.out {
+		if p.ch == ch {
+			return p.net
+		}
+	}
+	return nil
+}
 
 // InChannels returns the channels the job subscribes to, in ascending
 // order.
 func (j *Instance) InChannels() []vnet.ChannelID {
 	out := make([]vnet.ChannelID, 0, len(j.in))
-	for ch := range j.in {
-		out = append(out, ch)
+	for _, p := range j.in {
+		out = append(out, p.Channel)
 	}
-	for i := 1; i < len(out); i++ {
-		for k := i; k > 0 && out[k] < out[k-1]; k-- {
-			out[k], out[k-1] = out[k-1], out[k]
-		}
-	}
+	slices.Sort(out)
 	return out
 }
 
 // OutChannels returns the channels the job produces, in ascending order.
 func (j *Instance) OutChannels() []vnet.ChannelID {
 	out := make([]vnet.ChannelID, 0, len(j.out))
-	for ch := range j.out {
-		out = append(out, ch)
+	for _, p := range j.out {
+		out = append(out, p.ch)
 	}
-	for i := 1; i < len(out); i++ {
-		for k := i; k > 0 && out[k] < out[k-1]; k-- {
-			out[k], out[k-1] = out[k-1], out[k]
-		}
-	}
+	slices.Sort(out)
 	return out
 }
 
@@ -138,8 +155,8 @@ type Context struct {
 // installed fault filter. It reports whether the message was accepted by
 // the virtual network (false = suppressed by a fault or queue overflow).
 func (c *Context) Send(ch vnet.ChannelID, payload []byte) bool {
-	n, ok := c.Job.out[ch]
-	if !ok {
+	n := c.Job.outNet(ch)
+	if n == nil {
 		panic(fmt.Sprintf("component: job %s sends on undeclared channel %d", c.Job, ch))
 	}
 	if f := c.Job.OutFault; f != nil {
@@ -158,9 +175,10 @@ func (c *Context) SendFloat(ch vnet.ChannelID, v float64) bool {
 }
 
 // Receive pops the oldest queued message on one of the job's input ports.
+// The payload stays valid for the rest of the Step (see vnet.InPort.Receive).
 func (c *Context) Receive(ch vnet.ChannelID) (vnet.Message, bool) {
-	p, ok := c.Job.in[ch]
-	if !ok {
+	p := c.Job.InPort(ch)
+	if p == nil {
 		panic(fmt.Sprintf("component: job %s receives on unsubscribed channel %d", c.Job, ch))
 	}
 	return p.Receive()
@@ -169,8 +187,8 @@ func (c *Context) Receive(ch vnet.ChannelID) (vnet.Message, bool) {
 // Latest peeks at the newest message on an input port without consuming the
 // queue (state-port style access).
 func (c *Context) Latest(ch vnet.ChannelID) (vnet.Message, bool) {
-	p, ok := c.Job.in[ch]
-	if !ok {
+	p := c.Job.InPort(ch)
+	if p == nil {
 		panic(fmt.Sprintf("component: job %s reads unsubscribed channel %d", c.Job, ch))
 	}
 	return p.Peek()

@@ -31,6 +31,8 @@ type TxFault func(f *Frame)
 // RxFault perturbs reception at one receiver. It receives the frame as
 // transmitted and the status as seen so far, and returns the (possibly
 // degraded) status. Receiver-side faults model inbound connector problems.
+// The frame is the one broadcast every receiver sees: the hook must not
+// modify it.
 type RxFault func(receiver NodeID, f *Frame, status FrameStatus) FrameStatus
 
 // SlotObserver is called once per slot after delivery, with the per-receiver
@@ -77,6 +79,7 @@ type Bus struct {
 	nextHookID int
 
 	round int64
+	seq   uint64 // last issued Frame.Seq
 
 	// GuardianEnabled controls slot enforcement. With the guardian off
 	// (ablation A3 territory), a babbling node corrupts every slot.
@@ -281,7 +284,9 @@ func (b *Bus) runSlot(round int64, slot int) {
 	b.round = round
 	sender := b.Cfg.Slots[slot]
 	f := &b.frame
+	b.seq++
 	*f = Frame{
+		Seq:    b.seq,
 		Round:  round,
 		Slot:   slot,
 		Sender: sender,

@@ -14,6 +14,7 @@ type recController struct {
 	built    []int // slots in which BuildFrame was called
 	statuses []FrameStatus
 	senders  []NodeID
+	seqs     []uint64
 	rounds   []int64
 }
 
@@ -25,6 +26,7 @@ func (r *recController) BuildFrame(round int64, slot int) []byte {
 func (r *recController) OnSlot(f Frame, st FrameStatus) {
 	r.statuses = append(r.statuses, st)
 	r.senders = append(r.senders, f.Sender)
+	r.seqs = append(r.seqs, f.Seq)
 }
 
 func (r *recController) OnRoundEnd(round int64) { r.rounds = append(r.rounds, round) }
@@ -369,4 +371,30 @@ func TestSetAliveUnattachedPanics(t *testing.T) {
 	bus.SetBabbling(1, true)
 	bus.SetBabbling(1, false)
 	bus.SetAlive(1, true)
+}
+
+// TestBroadcastSeq checks the bus numbers its broadcasts 1, 2, 3, ... one
+// per slot, and every receiver of a broadcast sees the same number — also
+// a receiver whose status a receiver-side fault degraded.
+func TestBroadcastSeq(t *testing.T) {
+	sched, bus, ctrls := newCluster(t, 3)
+	bus.SetAlive(2, false)
+	bus.AddRxFault(func(rcv NodeID, f *Frame, st FrameStatus) FrameStatus {
+		if rcv == 1 {
+			return FrameCorrupted
+		}
+		return st
+	})
+	runRounds(sched, bus.Cfg, 4)
+	slots := 4 * len(bus.Cfg.Slots)
+	for _, c := range ctrls[:2] {
+		if len(c.seqs) != slots {
+			t.Fatalf("node %d observed %d slots, want %d", c.id, len(c.seqs), slots)
+		}
+		for i, seq := range c.seqs {
+			if seq != uint64(i+1) {
+				t.Fatalf("node %d slot %d: Seq %d, want %d", c.id, i, seq, i+1)
+			}
+		}
+	}
 }

@@ -44,6 +44,12 @@ func (s FrameStatus) Failed() bool { return s != FrameOK }
 
 // Frame is one TDMA broadcast transmission.
 type Frame struct {
+	// Seq numbers the broadcast: the bus issues 1, 2, 3, ... one per slot
+	// it runs, so every receiver of one broadcast sees the same Seq and no
+	// two broadcasts of one bus share one. Receivers may key per-broadcast
+	// work on it. Zero means unnumbered (a frame built by hand rather than
+	// by a bus). Seq is not checkpoint state: a restored bus numbers afresh.
+	Seq uint64
 	// Round and Slot locate the frame in the TDMA schedule.
 	Round int64
 	Slot  int

@@ -2,7 +2,7 @@ package vnet
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"decos/internal/ckpt"
 	"decos/internal/sim"
@@ -36,6 +36,16 @@ func decodeMessage(d *ckpt.Decoder) Message {
 	return m
 }
 
+// ttState returns the channels whose published state the endpoint's
+// checkpoint carries: every produced channel on a TT network, none on an
+// ET one.
+func (ep *Endpoint) ttState() []*channelState {
+	if ep.Net.Kind != TimeTriggered {
+		return nil
+	}
+	return ep.produced
+}
+
 // Snapshot serializes one network's mutable state: channel sequence
 // counters (ascending channel order) and per-endpoint outbound state
 // (ascending node order).
@@ -44,17 +54,20 @@ func (n *Network) Snapshot(e *ckpt.Encoder) {
 	e.Int(len(chans))
 	for _, ch := range chans {
 		e.Int(int(ch))
-		e.Uvarint(uint64(n.channels[ch].nextSeq))
+		e.Uvarint(uint64(n.channel(ch).nextSeq))
 	}
-	nodes := make([]int, 0, len(n.endpoints))
-	for id := range n.endpoints {
-		nodes = append(nodes, int(id))
+	nep := 0
+	for _, ep := range n.endpoints {
+		if ep != nil {
+			nep++
+		}
 	}
-	sort.Ints(nodes)
-	e.Int(len(nodes))
-	for _, id := range nodes {
-		ep := n.endpoints[tt.NodeID(id)]
-		e.Int(id)
+	e.Int(nep)
+	for _, ep := range n.endpoints {
+		if ep == nil {
+			continue
+		}
+		e.Int(int(ep.Node))
 		e.Int(ep.QueueCap)
 		e.Int(ep.TxOverflows)
 		e.Int(ep.TxMessages)
@@ -63,12 +76,12 @@ func (n *Network) Snapshot(e *ckpt.Encoder) {
 			encodeMessage(e, &ep.outQueue[i])
 		}
 		// Published TT state in packing order; absent channels are marked.
-		e.Int(len(ep.ttOrder))
-		for _, ch := range ep.ttOrder {
-			m := ep.outState[ch]
-			e.Bool(m != nil)
-			if m != nil {
-				encodeMessage(e, m)
+		state := ep.ttState()
+		e.Int(len(state))
+		for _, cs := range state {
+			e.Bool(cs.state != nil)
+			if cs.state != nil {
+				encodeMessage(e, cs.state)
 			}
 		}
 	}
@@ -79,7 +92,7 @@ func (n *Network) Restore(d *ckpt.Decoder) error {
 	nc := d.Len(1 << 16)
 	for i := 0; i < nc && d.Err() == nil; i++ {
 		ch := ChannelID(d.Int())
-		cs := n.channels[ch]
+		cs := n.channel(ch)
 		if cs == nil {
 			return fmt.Errorf("vnet: checkpoint names undeclared channel %d on %s", ch, n.Name)
 		}
@@ -88,7 +101,7 @@ func (n *Network) Restore(d *ckpt.Decoder) error {
 	ne := d.Len(1 << 16)
 	for i := 0; i < ne && d.Err() == nil; i++ {
 		id := tt.NodeID(d.Int())
-		ep := n.endpoints[id]
+		ep := n.Endpoint(id)
 		if ep == nil {
 			return fmt.Errorf("vnet: checkpoint names missing endpoint %d on %s", id, n.Name)
 		}
@@ -100,17 +113,17 @@ func (n *Network) Restore(d *ckpt.Decoder) error {
 		for j := 0; j < nq && d.Err() == nil; j++ {
 			ep.outQueue = append(ep.outQueue, decodeMessage(d))
 		}
+		state := ep.ttState()
 		nt := d.Len(1 << 16)
-		if d.Err() == nil && nt != len(ep.ttOrder) {
-			return fmt.Errorf("vnet: checkpoint TT state count %d, endpoint has %d channels", nt, len(ep.ttOrder))
+		if d.Err() == nil && nt != len(state) {
+			return fmt.Errorf("vnet: checkpoint TT state count %d, endpoint has %d channels", nt, len(state))
 		}
 		for j := 0; j < nt && d.Err() == nil; j++ {
-			ch := ep.ttOrder[j]
 			if d.Bool() {
 				m := decodeMessage(d)
-				ep.outState[ch] = &m
+				state[j].state = &m
 			} else {
-				delete(ep.outState, ch)
+				state[j].state = nil
 			}
 		}
 	}
@@ -120,15 +133,8 @@ func (n *Network) Restore(d *ckpt.Decoder) error {
 // sortedPorts returns every subscribed port in (channel, subscription)
 // order — the canonical iteration the snapshot encoding is defined over.
 func (f *Fabric) sortedPorts() []*InPort {
-	chans := make([]int, 0, len(f.subs))
-	for ch := range f.subs {
-		chans = append(chans, int(ch))
-	}
-	sort.Ints(chans)
-	var out []*InPort
-	for _, ch := range chans {
-		out = append(out, f.subs[ChannelID(ch)]...)
-	}
+	out := slices.Clone(f.ports)
+	slices.SortStableFunc(out, func(a, b *InPort) int { return int(a.Channel) - int(b.Channel) })
 	return out
 }
 

@@ -21,6 +21,8 @@ type InPort struct {
 	Overwrite bool
 
 	queue []Message
+	free  [][]byte // payload buffers of received messages, reused by deliver
+	spill []byte   // payload buffer of the latest message dropped on overflow
 
 	Stats PortStats
 }
@@ -40,7 +42,10 @@ type PortStats struct {
 }
 
 // Receive pops the oldest queued message. ok is false when the queue is
-// empty.
+// empty. The message's payload is valid until the port's next delivery:
+// the port then reuses its buffer, so copy the payload to retain it longer.
+// Jobs step after the round's last slot, so within one Step every payload
+// received stays intact.
 func (p *InPort) Receive() (Message, bool) {
 	if len(p.queue) == 0 {
 		return Message{}, false
@@ -50,6 +55,9 @@ func (p *InPort) Receive() (Message, bool) {
 	n := copy(p.queue, p.queue[1:])
 	p.queue[n] = Message{}
 	p.queue = p.queue[:n]
+	if cap(m.Payload) > 0 {
+		p.free = append(p.free, m.Payload[:0])
+	}
 	return m, true
 }
 
@@ -72,14 +80,22 @@ func (p *InPort) deliver(m Message, crcValid bool, now sim.Time) {
 		p.Stats.LastWasValid = false
 		return
 	}
-	// The decoded payload aliases the frame buffer; own it before
-	// retaining (queue and Stats keep references past the slot). A state
-	// port recycles the buffer of the value it is about to displace — by
-	// the time this delivery returns, nothing references it (Stats is
-	// repointed below, and Peek'd payloads are documented as transient).
+	// The decoded payload aliases the frame; own it before retaining
+	// (queue and Stats keep references past the slot). The copy goes into
+	// a buffer nothing else references by the time this delivery
+	// returns: the state port's displaced value, a buffer returned by
+	// Receive, or — for a message the full queue drops — the port's spill
+	// buffer. Stats.LastValue is repointed below every time.
+	overflow := !p.Overwrite && p.Capacity > 0 && len(p.queue) >= p.Capacity
 	var buf []byte
-	if p.Overwrite && len(p.queue) == 1 {
+	switch {
+	case overflow:
+		buf = p.spill[:0]
+	case p.Overwrite && len(p.queue) == 1:
 		buf = p.queue[0].Payload[:0]
+	case len(p.free) > 0:
+		buf = p.free[len(p.free)-1]
+		p.free = p.free[:len(p.free)-1]
 	}
 	m.Payload = append(buf, m.Payload...)
 	if p.Stats.haveSeq && m.Seq != p.Stats.LastSeq+1 && m.Seq > p.Stats.LastSeq {
@@ -91,21 +107,21 @@ func (p *InPort) deliver(m Message, crcValid bool, now sim.Time) {
 	p.Stats.LastArrival = now
 	p.Stats.LastValue = m.Payload
 	p.Stats.LastWasValid = true
-	if p.Overwrite {
+	switch {
+	case p.Overwrite:
 		p.queue = p.queue[:0]
 		p.queue = append(p.queue, m)
-		return
-	}
-	if p.Capacity > 0 && len(p.queue) >= p.Capacity {
+	case overflow:
+		p.spill = m.Payload
 		p.Stats.Overflows++
-		return
+	default:
+		p.queue = append(p.queue, m)
 	}
-	p.queue = append(p.queue, m)
 }
 
 // segment is one network's byte range within a node's frame payload.
 type segment struct {
-	net    *Network
+	ep     *Endpoint // the network's endpoint at the frame's sender
 	offset int
 	length int
 }
@@ -116,19 +132,25 @@ type segment struct {
 type Fabric struct {
 	cfg      tt.Config
 	networks []*Network
-	layout   map[tt.NodeID][]segment
-	subs     map[ChannelID][]*InPort
+	// layout and frameBufs are indexed by NodeID.
+	layout [][]segment
+	// ports lists every subscription in subscription order.
+	ports []*InPort
 	// corruptSeed makes bit-flip placement for a corrupted frame a pure
 	// function of the frame's coordinates, so every receiver of one
 	// corrupted broadcast observes the same damaged bytes.
 	corruptSeed uint64
 
-	// Per-node frame buffers and a decode scratch list, reused across
-	// rounds: frames are fully consumed within their slot event, so the
-	// buffer's contents are dead by the time the node builds its next
-	// frame.
-	frameBufs map[tt.NodeID][]byte
-	decodeBuf []decodeResult
+	// Per-node frame buffers, reused across rounds: frames are fully
+	// consumed within their slot event, so the buffer's contents are dead
+	// by the time the node builds its next frame.
+	frameBufs [][]byte
+
+	// decoded caches the latest broadcast decoded as received correctly
+	// ([0]) and as received corrupted ([1]).
+	decoded [2]broadcast
+
+	work Work
 
 	// DecodeErrors counts frames whose segment structure was undecodable
 	// after corruption.
@@ -136,16 +158,46 @@ type Fabric struct {
 	sealed       bool
 }
 
+// broadcast is one frame decoded as a receiver with a given status sees it.
+// Every receiver observing the same broadcast with the same status gets the
+// same bytes, so the fabric decodes once and each receiver only dispatches.
+type broadcast struct {
+	// The cache key besides the status: the bus-issued broadcast number
+	// (0 never hits) and the frame's corruption count.
+	seq         uint64
+	corruptBits int
+
+	payload []byte         // bit-flipped copy of a corrupted frame
+	recs    []decodeResult // records of channels the sender produces
+	errs    int            // decode errors one receiver of this broadcast counts
+}
+
+// Work counts the fabric's receive-path effort. Unlike the port statistics
+// these are not LIF observations; they say how much work a run cost, and
+// are deterministic for a given run.
+type Work struct {
+	// Broadcasts is the number of frames decoded.
+	Broadcasts int64
+	// Segments is the number of VN segments decoded.
+	Segments int64
+	// BytesChecksummed counts bytes run through the receive-side CRC.
+	BytesChecksummed int64
+	// Deliveries counts records dispatched to subscribed in-ports.
+	Deliveries int64
+	// PayloadCopies counts payload copies: a corrupted frame copied before
+	// its bits are flipped, and each valid delivery copied into port-owned
+	// memory.
+	PayloadCopies int64
+}
+
+// Work returns the receive-path work counters. Like the ports, it is not
+// safe for use concurrently with the simulation loop.
+func (f *Fabric) Work() Work { return f.work }
+
 // NewFabric creates a fabric for the given core-network configuration. The
 // rng seeds bit-corruption placement for corrupted frames.
 func NewFabric(cfg tt.Config, rng *sim.RNG) *Fabric {
-	return &Fabric{
-		cfg:         cfg,
-		layout:      make(map[tt.NodeID][]segment),
-		subs:        make(map[ChannelID][]*InPort),
-		corruptSeed: rng.Uint64(),
-		frameBufs:   make(map[tt.NodeID][]byte),
-	}
+	return &Fabric{cfg: cfg, corruptSeed: rng.Uint64()}
 }
 
 // AddNetwork registers a virtual network. All networks must be added before
@@ -160,21 +212,24 @@ func (f *Fabric) AddNetwork(n *Network) {
 // Subscribe attaches an in-port at the given node to a channel. The channel
 // must exist on one of the fabric's networks.
 func (f *Fabric) Subscribe(node tt.NodeID, ch ChannelID, capacity int, overwrite bool) *InPort {
-	if f.findChannel(ch) == nil {
-		panic(fmt.Sprintf("vnet: subscribe to unknown channel %d", ch))
+	if node < 0 {
+		panic(fmt.Sprintf("vnet: subscribe at invalid node %d", node))
 	}
 	p := &InPort{Channel: ch, Node: node, Capacity: capacity, Overwrite: overwrite}
-	f.subs[ch] = append(f.subs[ch], p)
-	return p
-}
-
-func (f *Fabric) findChannel(ch ChannelID) *Network {
+	// Channel ids are cluster-global: a port receives the channel's
+	// traffic on whichever network carries it.
+	found := false
 	for _, n := range f.networks {
-		if _, ok := n.Producer(ch); ok {
-			return n
+		if cs := n.channel(ch); cs != nil {
+			cs.subscribe(p)
+			found = true
 		}
 	}
-	return nil
+	if !found {
+		panic(fmt.Sprintf("vnet: subscribe to unknown channel %d", ch))
+	}
+	f.ports = append(f.ports, p)
+	return p
 }
 
 // Seal computes the frame layout. It fails if any node's total allocation
@@ -183,14 +238,19 @@ func (f *Fabric) Seal() error {
 	if f.sealed {
 		return nil
 	}
-	for _, node := range f.cfg.Nodes() {
+	nodes := f.cfg.Nodes()
+	if len(nodes) > 0 {
+		f.layout = make([][]segment, nodes[len(nodes)-1]+1)
+		f.frameBufs = make([][]byte, len(f.layout))
+	}
+	for _, node := range nodes {
 		off := 0
 		for _, n := range f.networks {
 			ep := n.Endpoint(node)
 			if ep == nil || ep.AllocBytes == 0 {
 				continue
 			}
-			f.layout[node] = append(f.layout[node], segment{net: n, offset: off, length: ep.AllocBytes})
+			f.layout[node] = append(f.layout[node], segment{ep: ep, offset: off, length: ep.AllocBytes})
 			off += ep.AllocBytes
 		}
 		if off > f.cfg.PayloadBytes {
@@ -201,24 +261,21 @@ func (f *Fabric) Seal() error {
 	return nil
 }
 
+// segments returns node's frame layout (nil for nodes outside it).
+func (f *Fabric) segments(node tt.NodeID) []segment {
+	if node < 0 || int(node) >= len(f.layout) {
+		return nil
+	}
+	return f.layout[node]
+}
+
 // PortsAt returns all in-ports subscribed at the given node, in channel
 // order (stable across runs). The diagnostic monitors scan these.
 func (f *Fabric) PortsAt(node tt.NodeID) []*InPort {
-	var chans []int
-	for ch := range f.subs {
-		chans = append(chans, int(ch))
-	}
-	for i := 1; i < len(chans); i++ {
-		for j := i; j > 0 && chans[j] < chans[j-1]; j-- {
-			chans[j], chans[j-1] = chans[j-1], chans[j]
-		}
-	}
 	var out []*InPort
-	for _, ch := range chans {
-		for _, p := range f.subs[ChannelID(ch)] {
-			if p.Node == node {
-				out = append(out, p)
-			}
+	for _, p := range f.sortedPorts() {
+		if p.Node == node {
+			out = append(out, p)
 		}
 	}
 	return out
@@ -241,14 +298,12 @@ type PortTotals struct {
 // themselves it is not safe for use concurrently with the simulation loop.
 func (f *Fabric) Totals() PortTotals {
 	t := PortTotals{DecodeErrors: int64(f.DecodeErrors)}
-	for _, ports := range f.subs {
-		for _, p := range ports {
-			t.Received += int64(p.Stats.Received)
-			t.CRCFailures += int64(p.Stats.CRCFailures)
-			t.FrameMisses += int64(p.Stats.FrameMisses)
-			t.Overflows += int64(p.Stats.Overflows)
-			t.SeqGaps += int64(p.Stats.SeqGaps)
-		}
+	for _, p := range f.ports {
+		t.Received += int64(p.Stats.Received)
+		t.CRCFailures += int64(p.Stats.CRCFailures)
+		t.FrameMisses += int64(p.Stats.FrameMisses)
+		t.Overflows += int64(p.Stats.Overflows)
+		t.SeqGaps += int64(p.Stats.SeqGaps)
 	}
 	return t
 }
@@ -274,7 +329,7 @@ func (f *Fabric) BuildPayload(node tt.NodeID) []byte {
 	if !f.sealed {
 		panic("vnet: BuildPayload before Seal")
 	}
-	segs := f.layout[node]
+	segs := f.segments(node)
 	if len(segs) == 0 {
 		return nil
 	}
@@ -289,8 +344,7 @@ func (f *Fabric) BuildPayload(node tt.NodeID) []byte {
 		clear(buf)
 	}
 	for _, s := range segs {
-		packed := s.net.Endpoint(node).packSegment()
-		copy(buf[s.offset:s.offset+s.length], packed)
+		copy(buf[s.offset:s.offset+s.length], s.ep.packSegment())
 	}
 	return buf
 }
@@ -300,36 +354,66 @@ func (f *Fabric) BuildPayload(node tt.NodeID) []byte {
 // receiver's subscribed ports; corrupted frames have CorruptBits random bits
 // flipped first (so CRC checks fail realistically); omitted/timing frames
 // record a miss on every subscribed port fed by the sender.
+//
+// A frame is decoded once per broadcast: receivers that observe the same
+// broadcast (same Frame.Seq) with the same status reuse the first one's
+// decode and only dispatch to their own ports. Unnumbered frames (Seq 0)
+// are decoded on every call.
 func (f *Fabric) ConsumeFrame(receiver tt.NodeID, fr tt.Frame, st tt.FrameStatus, now sim.Time) {
 	if !f.sealed {
 		panic("vnet: ConsumeFrame before Seal")
 	}
-	if fr.Sender == tt.NoNode {
-		return
-	}
-	segs := f.layout[fr.Sender]
+	segs := f.segments(fr.Sender)
 	if len(segs) == 0 {
 		return
 	}
 	if st == tt.FrameOmitted || st == tt.FrameTiming {
 		for _, s := range segs {
-			for ch, prod := range s.net.channels {
-				if prod.producer != fr.Sender {
-					continue
-				}
-				for _, p := range f.subs[ch] {
-					if p.Node == receiver {
-						p.Stats.FrameMisses++
-					}
+			for _, cs := range s.ep.produced {
+				for _, p := range cs.portsAt(receiver) {
+					p.Stats.FrameMisses++
 				}
 			}
 		}
 		return
 	}
 
+	b := &f.decoded[0]
+	if st == tt.FrameCorrupted {
+		b = &f.decoded[1]
+	}
+	if fr.Seq == 0 || b.seq != fr.Seq || b.corruptBits != fr.CorruptBits {
+		f.decode(b, &fr, st, segs)
+	}
+	f.DecodeErrors += b.errs
+	for i := range b.recs {
+		r := &b.recs[i]
+		for _, p := range r.ch.portsAt(receiver) {
+			p.deliver(r.msg, r.crcValid, now)
+			f.work.Deliveries++
+			if r.crcValid {
+				f.work.PayloadCopies++
+			}
+		}
+	}
+}
+
+// decode fills b with fr as a receiver observing status st sees it: the
+// sender's segments parsed and checksummed, keeping the records of
+// channels the sender produces on each segment's network. A record
+// claiming any other channel is mis-framed corruption, not that channel's
+// traffic — receivers know the static channel-to-sender mapping — and
+// counts as a decode error, as does a segment whose framing breaks.
+func (f *Fabric) decode(b *broadcast, fr *tt.Frame, st tt.FrameStatus, segs []segment) {
+	b.seq, b.corruptBits = fr.Seq, fr.CorruptBits
+	b.recs, b.errs = b.recs[:0], 0
+	f.work.Broadcasts++
+
 	payload := fr.Payload
 	if st == tt.FrameCorrupted {
-		payload = append([]byte(nil), payload...)
+		b.payload = append(b.payload[:0], payload...)
+		payload = b.payload
+		f.work.PayloadCopies++
 		bits := fr.CorruptBits
 		if bits <= 0 {
 			bits = 1
@@ -342,32 +426,24 @@ func (f *Fabric) ConsumeFrame(receiver tt.NodeID, fr tt.Frame, st tt.FrameStatus
 	}
 
 	for _, s := range segs {
-		end := s.offset + s.length
-		if end > len(payload) {
-			end = len(payload)
-		}
+		end := min(s.offset+s.length, len(payload))
 		if s.offset >= end {
 			continue
 		}
-		msgs, ok := decodeSegment(f.decodeBuf[:0], payload[s.offset:end])
-		f.decodeBuf = msgs[:0]
+		start := len(b.recs)
+		recs, ok := decodeSegment(b.recs, payload[s.offset:end])
+		f.work.Segments++
 		if !ok {
-			f.DecodeErrors++
+			b.errs++
 		}
-		for _, r := range msgs {
-			// Receivers know the static channel-to-sender mapping: a
-			// record claiming a channel not produced by this frame's
-			// sender is mis-framed corruption, not that channel's
-			// traffic.
-			if prod, known := s.net.Producer(r.msg.Channel); !known || prod != fr.Sender {
-				f.DecodeErrors++
+		b.recs = recs[:start]
+		for _, r := range recs[start:] {
+			f.work.BytesChecksummed += int64(headerBytes + len(r.msg.Payload))
+			if r.ch = s.ep.channel(r.msg.Channel); r.ch == nil {
+				b.errs++
 				continue
 			}
-			for _, p := range f.subs[r.msg.Channel] {
-				if p.Node == receiver {
-					p.deliver(r.msg, r.crcValid, now)
-				}
-			}
+			b.recs = append(b.recs, r)
 		}
 	}
 }

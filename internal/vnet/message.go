@@ -129,6 +129,9 @@ func encode(dst []byte, m Message) ([]byte, error) {
 type decodeResult struct {
 	msg      Message
 	crcValid bool
+	// ch is the channel the fabric resolved the record to (decodeSegment
+	// leaves it nil).
+	ch *channelState
 }
 
 // decodeSegment parses all messages in a VN segment, appending to dst (a
@@ -136,8 +139,12 @@ type decodeResult struct {
 // (with crcValid=false) when their framing is intact; undecodable trailing
 // garbage terminates the parse with ok=false.
 //
-// The returned payloads alias the segment buffer: a consumer that retains
-// one must copy it (InPort.deliver does).
+// The returned payloads alias the segment buffer — the sender's frame, or
+// the fabric's bit-flipped copy of a corrupted one — so they are valid
+// only while that broadcast is being dispatched. The fabric keeps them for
+// exactly that long, serving every receiver of the broadcast from one
+// decode; InPort.deliver copies a payload into port-owned memory before
+// retaining it.
 func decodeSegment(dst []decodeResult, seg []byte) (out []decodeResult, ok bool) {
 	out = dst
 	ok = true

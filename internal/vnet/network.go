@@ -2,6 +2,7 @@ package vnet
 
 import (
 	"fmt"
+	"slices"
 
 	"decos/internal/sim"
 	"decos/internal/tt"
@@ -38,25 +39,46 @@ type Network struct {
 	// diagnostic network uses "diagnosis".
 	DAS string
 
-	endpoints map[tt.NodeID]*Endpoint
-	channels  map[ChannelID]*channelState
+	// Dense tables: endpoints is indexed by NodeID (nil = no endpoint),
+	// channels holds every declared channel in declaration order.
+	endpoints []*Endpoint
+	channels  []*channelState
 }
 
+// channelState is one declared channel: its producer and sequence counter,
+// plus the fabric's subscriptions on it.
 type channelState struct {
 	id       ChannelID
 	producer tt.NodeID
 	nextSeq  uint32
+
+	// state is the channel's latest published value (TimeTriggered
+	// networks only; nil until the first Send).
+	state *Message
+
+	// at holds the in-ports subscribed to the channel, indexed by
+	// receiving node, each list in subscription order.
+	at [][]*InPort
+}
+
+// portsAt returns the channel's subscriptions at node n.
+func (cs *channelState) portsAt(n tt.NodeID) []*InPort {
+	if int(n) < len(cs.at) {
+		return cs.at[n]
+	}
+	return nil
+}
+
+func (cs *channelState) subscribe(p *InPort) {
+	for len(cs.at) <= int(p.Node) {
+		cs.at = append(cs.at, nil)
+	}
+	cs.at[p.Node] = append(cs.at[p.Node], p)
 }
 
 // NewNetwork creates an empty virtual network.
 func NewNetwork(name string, kind Kind, das string) *Network {
-	return &Network{
-		Name:      name,
-		Kind:      kind,
-		DAS:       das,
-		endpoints: make(map[tt.NodeID]*Endpoint),
-		channels:  make(map[ChannelID]*channelState),
-	}
+	return &Network{Name: name, Kind: kind, DAS: das}
 }
 
 // Endpoint is the attachment of a network to one node: the byte budget the
@@ -71,10 +93,9 @@ type Endpoint struct {
 	// paper's job-borderline configuration fault.
 	QueueCap int
 
-	outQueue []Message              // ET pending messages, FIFO
-	outState map[ChannelID]*Message // TT latest value per produced channel
-	ttOrder  []ChannelID            // deterministic packing order
-	freeBufs [][]byte               // recycled ET payload buffers
+	outQueue []Message       // ET pending messages, FIFO
+	produced []*channelState // channels produced here, declaration order (= TT packing order)
+	freeBufs [][]byte        // recycled ET payload buffers
 
 	// TxOverflows counts messages dropped at the sender because the
 	// outbound queue was full — the encapsulation service refusing to let
@@ -86,10 +107,24 @@ type Endpoint struct {
 	packBuf []byte // reused segment scratch
 }
 
+// channel returns the channel with the given id that this endpoint
+// produces, or nil.
+func (ep *Endpoint) channel(id ChannelID) *channelState {
+	for _, cs := range ep.produced {
+		if cs.id == id {
+			return cs
+		}
+	}
+	return nil
+}
+
 // AddEndpoint attaches the network to a node with the given frame-segment
 // budget and (for ET networks) outbound queue capacity.
 func (n *Network) AddEndpoint(node tt.NodeID, allocBytes, queueCap int) *Endpoint {
-	if _, dup := n.endpoints[node]; dup {
+	if node < 0 {
+		panic(fmt.Sprintf("vnet: invalid endpoint node %d on %s", node, n.Name))
+	}
+	if n.Endpoint(node) != nil {
 		panic(fmt.Sprintf("vnet: duplicate endpoint for node %d on %s", node, n.Name))
 	}
 	ep := &Endpoint{
@@ -97,14 +132,31 @@ func (n *Network) AddEndpoint(node tt.NodeID, allocBytes, queueCap int) *Endpoin
 		Node:       node,
 		AllocBytes: allocBytes,
 		QueueCap:   queueCap,
-		outState:   make(map[ChannelID]*Message),
+	}
+	for len(n.endpoints) <= int(node) {
+		n.endpoints = append(n.endpoints, nil)
 	}
 	n.endpoints[node] = ep
 	return ep
 }
 
 // Endpoint returns the endpoint at the given node, or nil.
-func (n *Network) Endpoint(node tt.NodeID) *Endpoint { return n.endpoints[node] }
+func (n *Network) Endpoint(node tt.NodeID) *Endpoint {
+	if node < 0 || int(node) >= len(n.endpoints) {
+		return nil
+	}
+	return n.endpoints[node]
+}
+
+// channel returns the declared channel with the given id, or nil.
+func (n *Network) channel(id ChannelID) *channelState {
+	for _, cs := range n.channels {
+		if cs.id == id {
+			return cs
+		}
+	}
+	return nil
+}
 
 // DeclareChannel registers a channel produced at the given node. Channel ids
 // are cluster-global; id 0 is reserved for padding.
@@ -112,24 +164,23 @@ func (n *Network) DeclareChannel(id ChannelID, producer tt.NodeID) {
 	if id == 0 {
 		panic("vnet: channel id 0 is reserved")
 	}
-	if _, dup := n.channels[id]; dup {
+	if n.channel(id) != nil {
 		panic(fmt.Sprintf("vnet: duplicate channel %d on %s", id, n.Name))
 	}
-	ep := n.endpoints[producer]
+	ep := n.Endpoint(producer)
 	if ep == nil {
 		panic(fmt.Sprintf("vnet: channel %d producer node %d has no endpoint on %s", id, producer, n.Name))
 	}
-	n.channels[id] = &channelState{id: id, producer: producer}
-	if n.Kind == TimeTriggered {
-		ep.ttOrder = append(ep.ttOrder, id)
-	}
+	cs := &channelState{id: id, producer: producer}
+	n.channels = append(n.channels, cs)
+	ep.produced = append(ep.produced, cs)
 }
 
 // Producer returns the producing node of a channel and whether the channel
 // exists on this network.
 func (n *Network) Producer(id ChannelID) (tt.NodeID, bool) {
-	cs, ok := n.channels[id]
-	if !ok {
+	cs := n.channel(id)
+	if cs == nil {
 		return tt.NoNode, false
 	}
 	return cs.producer, true
@@ -139,14 +190,10 @@ func (n *Network) Producer(id ChannelID) (tt.NodeID, bool) {
 // order.
 func (n *Network) Channels() []ChannelID {
 	out := make([]ChannelID, 0, len(n.channels))
-	for id := range n.channels {
-		out = append(out, id)
+	for _, cs := range n.channels {
+		out = append(out, cs.id)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.Sort(out)
 	return out
 }
 
@@ -157,18 +204,18 @@ func (n *Network) Channels() []ChannelID {
 // The payload is copied into endpoint-owned storage, so the caller may reuse
 // its buffer immediately.
 func (n *Network) Send(ch ChannelID, payload []byte, now sim.Time) bool {
-	cs, ok := n.channels[ch]
-	if !ok {
+	cs := n.channel(ch)
+	if cs == nil {
 		panic(fmt.Sprintf("vnet: send on undeclared channel %d", ch))
 	}
 	ep := n.endpoints[cs.producer]
 	seq := cs.nextSeq
 	cs.nextSeq++
 	if n.Kind == TimeTriggered {
-		st := ep.outState[ch]
+		st := cs.state
 		if st == nil {
 			st = &Message{}
-			ep.outState[ch] = st
+			cs.state = st
 		}
 		st.Channel, st.Seq, st.SentAt = ch, seq, now
 		st.Payload = append(st.Payload[:0], payload...)
@@ -209,8 +256,8 @@ func (ep *Endpoint) packSegment() []byte {
 	seg := ep.packBuf[:0]
 	defer func() { ep.packBuf = seg[:0] }()
 	if ep.Net.Kind == TimeTriggered {
-		for _, ch := range ep.ttOrder {
-			m := ep.outState[ch]
+		for _, cs := range ep.produced {
+			m := cs.state
 			if m == nil {
 				continue
 			}

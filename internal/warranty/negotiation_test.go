@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"decos/internal/scenario"
@@ -102,8 +103,13 @@ func TestIngestContentNegotiation(t *testing.T) {
 // wire encoding must be invisible to warranty analysis.
 func TestIngestMixedEncodingsAgree(t *testing.T) {
 	c := scenario.Campaign{Vehicles: 24, Rounds: 400, Seed: 71, FaultFreeShare: 0.25}
-	var blobs [][]byte
+	var (
+		mu    sync.Mutex // the sink runs on the campaign's worker goroutines
+		blobs [][]byte
+	)
 	c.RunTraced(func(v int, ndjson []byte) {
+		mu.Lock()
+		defer mu.Unlock()
 		blobs = append(blobs, append([]byte(nil), ndjson...))
 	})
 

@@ -3,10 +3,12 @@ package decos
 import (
 	"bytes"
 	"io"
+	"runtime"
 	"testing"
 
 	"decos/internal/diagnosis"
 	"decos/internal/engine"
+	"decos/internal/experiments"
 	"decos/internal/scenario"
 	"decos/internal/sim"
 	"decos/internal/telemetry"
@@ -118,9 +120,10 @@ func TestAllocGuardTelemetryRound(t *testing.T) {
 
 // TestAllocGuardBayesOffRound pins the bayes-off contract: a default
 // Fig. 10 cluster round (DECOS classification stage, no bayes option)
-// must stay at the 3-allocs/round baseline recorded before the Bayesian
-// subsystem existed. The Bayesian stage is pay-for-use — installing it
-// may cost more per round, but not installing it must cost nothing.
+// must stay allocation-free in steady state (measured 0.031 allocs/round,
+// down from 2.98 before the virtual-network receive path recycled its
+// payload buffers). The Bayesian stage is pay-for-use — installing it may
+// cost more per round, but not installing it must cost nothing.
 func TestAllocGuardBayesOffRound(t *testing.T) {
 	if testing.Short() {
 		t.Skip("cluster warm-up in -short mode")
@@ -131,8 +134,33 @@ func TestAllocGuardBayesOffRound(t *testing.T) {
 	allocs := testing.AllocsPerRun(5, func() { sys.Run(roundsPerRun) })
 	perRound := allocs / roundsPerRun
 	t.Logf("bayes-off cluster round: %.3f allocs/round", perRound)
-	if perRound > 3 {
-		t.Errorf("default cluster round allocates %.3f objects/round, want <= 3 (the pre-bayes baseline)", perRound)
+	if perRound > 0.1 {
+		t.Errorf("default cluster round allocates %.3f objects/round, want <= 0.1", perRound)
+	}
+}
+
+// TestAllocGuardE8 is the end-to-end allocation budget of the headline
+// experiment: the E8 NFF campaign at the canonical seed (150 vehicles,
+// 3000 rounds each, build and audit included), per vehicle. The round-level
+// guards above cannot see build-time or per-vehicle garbage; this one
+// does. Measured 1,598 allocs/vehicle (12.9k before the receive path
+// stopped allocating per delivery); the budget is that plus 10 %.
+func TestAllocGuardE8(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full E8 campaign in -short mode")
+	}
+	const vehicles, budget = 150, 1758
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := experiments.E8NFF(20050404)
+	runtime.ReadMemStats(&after)
+	if r.Metrics["decos_action_acc"] <= r.Metrics["obd_action_acc"] {
+		t.Fatal("E8 NFF comparison inverted")
+	}
+	perVehicle := float64(after.Mallocs-before.Mallocs) / vehicles
+	t.Logf("E8: %.0f allocs/vehicle", perVehicle)
+	if perVehicle > budget {
+		t.Errorf("E8 allocates %.0f objects/vehicle, want <= %d", perVehicle, budget)
 	}
 }
 

@@ -65,4 +65,12 @@ echo "== fuzz smoke (scenario-pack manifests) =="
 # Seeds: the shipped pack library plus syntax-boundary fragments.
 go test -run='^$' -fuzz='^FuzzPackManifest$' -fuzztime=10s ./internal/pack/
 
+echo "== fuzz smoke (vnet segment decoder) =="
+# Every receiver parses the segments of frames the bus may have corrupted:
+# on arbitrary bytes the decoder must never panic, must return only
+# payloads inside its input, and a record whose CRC verifies must
+# re-encode to exactly its bytes. Seeds: real fabric-built segments plus
+# truncated and bit-flipped variants.
+go test -run='^$' -fuzz='^FuzzDecodeSegment$' -fuzztime=10s ./internal/vnet/
+
 echo "OK"
