@@ -22,14 +22,7 @@ race:
 bench:
 	./scripts/bench.sh -short
 	$(GO) test -run 'TestAllocGuard' -v .
-	$(GO) run ./cmd/decos-benchcmp -verify BENCH_pr2.json
-	$(GO) run ./cmd/decos-benchcmp -verify BENCH_pr4.json
-	$(GO) run ./cmd/decos-benchcmp -verify BENCH_pr5.json
-	$(GO) run ./cmd/decos-benchcmp -verify BENCH_pr6.json
-	$(GO) run ./cmd/decos-benchcmp -verify BENCH_pr7.json
-	$(GO) run ./cmd/decos-benchcmp -verify BENCH_pr8.json
-	$(GO) run ./cmd/decos-benchcmp -verify BENCH_pr9.json
-	$(GO) run ./cmd/decos-benchcmp -verify BENCH_pr10.json
+	for f in BENCH_pr*.json; do $(GO) run ./cmd/decos-benchcmp -verify $$f || exit 1; done
 
 # Full curated benchmark run (steady-state set at default benchtime plus
 # one-shot E8/E13), gated against the current-rig baseline. BENCH_pr2's

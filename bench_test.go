@@ -238,7 +238,7 @@ func benchRounds(b *testing.B, sys *scenario.System) {
 // interesting comparison is against BenchmarkClusterRound: the delta is
 // the per-round cost of maintaining per-FRU posteriors.
 func BenchmarkBayesRound(b *testing.B) {
-	sys := scenario.Fig10With(benchSeed, diagnosis.Options{},
+	sys := scenario.Fig10(benchSeed, diagnosis.Options{},
 		engine.WithClassifier(bayes.New()))
 	b.ReportAllocs()
 	b.ResetTimer()

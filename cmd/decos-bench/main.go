@@ -130,7 +130,7 @@ func scorePack(path, classifier string) error {
 	if err != nil {
 		return err
 	}
-	clss := pack.Classifiers
+	var clss []string
 	if classifier != "" {
 		found := false
 		for _, cls := range pack.Classifiers {
@@ -145,7 +145,7 @@ func scorePack(path, classifier string) error {
 		clss = []string{classifier}
 	}
 	start := time.Now()
-	pr := scenario.ConformFor(context.Background(), m, clss)
+	pr := scenario.Conform(context.Background(), m, clss...)
 	rep := &pack.Report{Version: pack.Version}
 	rep.Add(pr)
 	fmt.Print(rep.Format())

@@ -33,7 +33,7 @@ func main() {
 // declared in the engine's fault manifest.
 func faultyCar() (*scenario.System, *faults.Activation) {
 	var act *faults.Activation
-	sys := scenario.Fig10With(101, diagnosis.Options{},
+	sys := scenario.Fig10(101, diagnosis.Options{},
 		engine.WithFaults(func(inj *faults.Injector) {
 			act = inj.ConnectorTx(0, sim.Time(100*sim.Millisecond), 0, 0.3)
 		}))

@@ -225,8 +225,10 @@ type Classifier struct {
 	// residual, so environmental stress that subsides does not leave a
 	// stale removal recommendation. Belief state: checkpointed.
 	accused []bool
-	// granScratch backs the episode-rate queries.
+	// granScratch and obsScratch back the episode-rate and observer
+	// window queries, so per-epoch scans do not allocate.
 	granScratch []int64
+	obsScratch  []diagnosis.FRUIndex
 }
 
 // New returns a Bayesian classifier with default tuning. The belief
@@ -463,9 +465,9 @@ func (c *Classifier) Classify(ctx *diagnosis.EvalContext) []diagnosis.Finding {
 		// The accusation graph mirrors ConnectorRxONA: omission symptoms
 		// only, a single stray omission is not connector evidence.
 		c.soleObs[f] = -1
-		if obs := ctx.Hist.Observers(f, winFrom, g, fltOmission); len(obs) == 1 &&
-			ctx.Hist.Count(f, winFrom, g, fltOmission) >= 2 {
-			c.soleObs[f] = int32(obs[0])
+		c.obsScratch = ctx.Hist.AppendObservers(c.obsScratch[:0], f, winFrom, g, fltOmission)
+		if len(c.obsScratch) == 1 && ctx.Hist.Count(f, winFrom, g, fltOmission) >= 2 {
+			c.soleObs[f] = int32(c.obsScratch[0])
 		}
 	}
 	for _, f := range hw {
@@ -527,7 +529,8 @@ func (c *Classifier) updateHardware(ctx *diagnosis.EvalContext, f diagnosis.FRUI
 				break
 			}
 		}
-		feat[fhMultiObs] = len(ctx.Hist.Observers(f, epochFrom, g, fltFrame)) >= 2
+		c.obsScratch = ctx.Hist.AppendObservers(c.obsScratch[:0], f, epochFrom, g, fltFrame)
+		feat[fhMultiObs] = len(c.obsScratch) >= 2
 	}
 
 	// Window-scale features: duty cycle over the permanent window and
@@ -537,14 +540,14 @@ func (c *Classifier) updateHardware(ctx *diagnosis.EvalContext, f diagnosis.FRUI
 		permFrom = 0
 	}
 	span := g - permFrom + 1
-	loss := ctx.Hist.ActiveGranules(f, permFrom, g, fltOmOrTim)
-	feat[fhDuty] = float64(len(loss)) >= ctx.Opts.PermanentDuty*float64(span)
+	loss := ctx.Hist.ActiveGranuleCount(f, permFrom, g, fltOmOrTim)
+	feat[fhDuty] = float64(loss) >= ctx.Opts.PermanentDuty*float64(span)
 
-	episodes := ctx.Hist.ActiveGranules(f, winFrom, g, fltFrame)
-	feat[fhRecur] = len(episodes) >= ctx.Opts.MinRecurrentGranules
+	c.granScratch = ctx.Hist.AppendActiveGranules(c.granScratch[:0], f, winFrom, g, fltFrame)
+	feat[fhRecur] = len(c.granScratch) >= ctx.Opts.MinRecurrentGranules
 	mid := winFrom + (g-winFrom)/2
 	early, late := 0, 0
-	for _, gr := range episodes {
+	for _, gr := range c.granScratch {
 		if gr <= mid {
 			early++
 		} else {

@@ -143,7 +143,6 @@ func (e *Encoder) String(s string) {
 // callers may check Err once after a batch of reads.
 type Decoder struct {
 	sections map[string][]byte
-	order    []string
 	body     []byte // current section remainder
 	name     string
 	err      error
@@ -183,14 +182,10 @@ func NewDecoder(stream []byte) (*Decoder, error) {
 			return nil, fmt.Errorf("ckpt: duplicate section %q", name)
 		}
 		d.sections[name] = rest[:bodyLen]
-		d.order = append(d.order, name)
 		rest = rest[bodyLen:]
 	}
 	return d, nil
 }
-
-// Sections returns the section names in stream order.
-func (d *Decoder) Sections() []string { return d.order }
 
 // Has reports whether the stream carries the named section.
 func (d *Decoder) Has(name string) bool {

@@ -129,16 +129,6 @@ func (j *Instance) InChannels() []vnet.ChannelID {
 	return out
 }
 
-// OutChannels returns the channels the job produces, in ascending order.
-func (j *Instance) OutChannels() []vnet.ChannelID {
-	out := make([]vnet.ChannelID, 0, len(j.out))
-	for _, p := range j.out {
-		out = append(out, p.ch)
-	}
-	slices.Sort(out)
-	return out
-}
-
 // Context is the execution environment handed to a job on every Step.
 type Context struct {
 	Now   sim.Time

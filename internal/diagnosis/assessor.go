@@ -41,12 +41,9 @@ type Options struct {
 	// OverflowMin is the minimum overflow count for a configuration
 	// verdict.
 	OverflowMin int
-	// DiagAllocBytes and DiagQueueCap dimension the virtual diagnostic
-	// network per component.
+	// DiagAllocBytes is each component's segment allocation on the
+	// virtual diagnostic network.
 	DiagAllocBytes int
-	DiagQueueCap   int
-	// DiagChannelBase is the first channel id of the diagnostic network.
-	DiagChannelBase vnet.ChannelID
 	// UpdateAvailable reports whether the OEM has released a corrected
 	// version of a software FRU (drives update-software vs
 	// forward-to-OEM). Nil means no updates available.
@@ -79,10 +76,15 @@ func DefaultOptions() Options {
 		MinRecurrentGranules: 3,
 		OverflowMin:          3,
 		DiagAllocBytes:       64,
-		DiagQueueCap:         512,
-		DiagChannelBase:      60000,
 	}
 }
+
+// The virtual diagnostic network's per-component queue capacity and its
+// first channel id: component c disseminates on diagChannelBase+c.
+const (
+	diagQueueCap                   = 512
+	diagChannelBase vnet.ChannelID = 60000
+)
 
 func (o Options) withDefaults() Options {
 	d := DefaultOptions()
@@ -127,12 +129,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.DiagAllocBytes <= 0 {
 		o.DiagAllocBytes = d.DiagAllocBytes
-	}
-	if o.DiagQueueCap <= 0 {
-		o.DiagQueueCap = d.DiagQueueCap
-	}
-	if o.DiagChannelBase == 0 {
-		o.DiagChannelBase = d.DiagChannelBase
 	}
 	return o
 }

@@ -37,13 +37,13 @@ func Attach(cl *component.Cluster, diagNode tt.NodeID, opts Options) *Diagnostic
 	cl.Fabric.AddNetwork(net)
 	comps := cl.Components()
 	for _, c := range comps {
-		net.AddEndpoint(c.ID, opts.DiagAllocBytes, opts.DiagQueueCap)
-		net.DeclareChannel(opts.DiagChannelBase+vnet.ChannelID(c.ID), c.ID)
+		net.AddEndpoint(c.ID, opts.DiagAllocBytes, diagQueueCap)
+		net.DeclareChannel(diagChannelBase+vnet.ChannelID(c.ID), c.ID)
 	}
 
 	assessor := NewAssessor(reg, opts)
 	for _, c := range comps {
-		ch := opts.DiagChannelBase + vnet.ChannelID(c.ID)
+		ch := diagChannelBase + vnet.ChannelID(c.ID)
 		assessor.Subscribe(cl.Fabric.Subscribe(diagNode, ch, 0, false))
 	}
 
@@ -89,7 +89,7 @@ func (d *Diagnostics) buildMonitor(c *component.Component) *Monitor {
 	self, _ := d.Reg.HardwareIndex(c.ID)
 	m := &Monitor{
 		Node:    c.ID,
-		Chan:    d.opts.DiagChannelBase + vnet.ChannelID(c.ID),
+		Chan:    diagChannelBase + vnet.ChannelID(c.ID),
 		reg:     d.Reg,
 		cl:      d.cl,
 		net:     d.Net,
@@ -106,7 +106,7 @@ func (d *Diagnostics) buildMonitor(c *component.Component) *Monitor {
 			continue
 		}
 		for _, ch := range j.InChannels() {
-			if ch >= d.opts.DiagChannelBase {
+			if ch >= diagChannelBase {
 				continue
 			}
 			meta, ok := d.Reg.Channel(ch)
@@ -166,16 +166,6 @@ func (d *Diagnostics) buildMonitor(c *component.Component) *Monitor {
 	}
 
 	return m
-}
-
-// MonitorAt returns the monitor of the given component, or nil.
-func (d *Diagnostics) MonitorAt(n tt.NodeID) *Monitor {
-	for _, m := range d.Monitors {
-		if m.Node == n {
-			return m
-		}
-	}
-	return nil
 }
 
 // TrustOf returns the current trust level of a FRU by value.

@@ -48,8 +48,8 @@ func (a *Assessor) Trend(hw FRUIndex) WearoutTrend {
 	if span1 <= 0 || span2 <= 0 {
 		return WearoutTrend{Growth: 1}
 	}
-	early := float64(len(a.Hist.ActiveGranules(hw, from, mid, KindIn(SymCorruption))))
-	late := float64(len(a.Hist.ActiveGranules(hw, mid+1, g, KindIn(SymCorruption))))
+	early := float64(a.Hist.ActiveGranuleCount(hw, from, mid, corruptionOnly))
+	late := float64(a.Hist.ActiveGranuleCount(hw, mid+1, g, corruptionOnly))
 	t := WearoutTrend{
 		EarlyRate: early / span1,
 		LateRate:  late / span2,

@@ -84,24 +84,12 @@ func KindIn(kinds ...Kind) Filter {
 // internal state: same-package query helpers iterate it without copying.
 func (h *History) list(subject FRUIndex) []Symptom { return h.bySubject[subject] }
 
-// Window returns the subject's symptoms with granule in [from, to]
-// (inclusive) that pass the filter.
-func (h *History) Window(subject FRUIndex, from, to int64, f Filter) []Symptom {
-	var out []Symptom
-	for _, s := range h.bySubject[subject] {
-		if s.Granule > to {
-			break
-		}
-		if s.Granule >= from && (f == nil || f(s)) {
-			out = append(out, s)
-		}
-	}
-	return out
-}
+// The window queries below scan the subject's granule-sorted list, stop at
+// the window's end and allocate nothing beyond what dst needs: ONAs and the
+// Bayesian stage call them many times per epoch.
 
-// Count sums the Count fields of matching symptoms in the window. The
-// subject list is granule-sorted, so the scan stops at the window's end and
-// allocates nothing — ONAs call this many times per epoch.
+// Count sums the Count fields of matching symptoms in the window
+// [from, to] (inclusive).
 func (h *History) Count(subject FRUIndex, from, to int64, f Filter) int {
 	n := 0
 	for _, s := range h.bySubject[subject] {
@@ -115,10 +103,49 @@ func (h *History) Count(subject FRUIndex, from, to int64, f Filter) int {
 	return n
 }
 
-// Observers returns the distinct observers reporting matching symptoms for
-// the subject in the window.
-func (h *History) Observers(subject FRUIndex, from, to int64, f Filter) []FRUIndex {
-	var out []FRUIndex
+// ActiveGranuleCount returns the number of distinct granules with matching
+// symptoms for the subject in the window.
+func (h *History) ActiveGranuleCount(subject FRUIndex, from, to int64, f Filter) int {
+	n, last := 0, int64(-1)
+	for _, s := range h.bySubject[subject] {
+		if s.Granule > to {
+			break
+		}
+		if s.Granule < from || (f != nil && !f(s)) {
+			continue
+		}
+		if n == 0 || s.Granule != last {
+			n++
+			last = s.Granule
+		}
+	}
+	return n
+}
+
+// AppendActiveGranules appends the distinct granules with matching
+// symptoms for the subject in the window to dst, ascending, and returns the
+// extended slice.
+func (h *History) AppendActiveGranules(dst []int64, subject FRUIndex, from, to int64, f Filter) []int64 {
+	start := len(dst)
+	for _, s := range h.bySubject[subject] {
+		if s.Granule > to {
+			break
+		}
+		if s.Granule < from || (f != nil && !f(s)) {
+			continue
+		}
+		if len(dst) == start || dst[len(dst)-1] != s.Granule {
+			dst = append(dst, s.Granule)
+		}
+	}
+	return dst
+}
+
+// AppendObservers appends the distinct observers reporting matching
+// symptoms for the subject in the window to dst, in first-report order, and
+// returns the extended slice.
+func (h *History) AppendObservers(dst []FRUIndex, subject FRUIndex, from, to int64, f Filter) []FRUIndex {
+	start := len(dst)
 	for _, s := range h.bySubject[subject] {
 		if s.Granule > to {
 			break
@@ -127,36 +154,17 @@ func (h *History) Observers(subject FRUIndex, from, to int64, f Filter) []FRUInd
 			continue
 		}
 		dup := false
-		for _, o := range out {
+		for _, o := range dst[start:] {
 			if o == s.Observer {
 				dup = true
 				break
 			}
 		}
 		if !dup {
-			out = append(out, s.Observer)
+			dst = append(dst, s.Observer)
 		}
 	}
-	return out
-}
-
-// ActiveGranules returns the distinct granules with matching symptoms for
-// the subject in the window, ascending. The list is granule-sorted, so
-// distinctness is a comparison against the previous entry.
-func (h *History) ActiveGranules(subject FRUIndex, from, to int64, f Filter) []int64 {
-	var out []int64
-	for _, s := range h.bySubject[subject] {
-		if s.Granule > to {
-			break
-		}
-		if s.Granule < from || (f != nil && !f(s)) {
-			continue
-		}
-		if len(out) == 0 || out[len(out)-1] != s.Granule {
-			out = append(out, s.Granule)
-		}
-	}
-	return out
+	return dst
 }
 
 // MaxDeviation returns the maximum Deviation of matching symptoms in the

@@ -68,74 +68,6 @@ func (c *EvalContext) windowStart() int64 {
 	return s
 }
 
-// activeGranuleCount counts the subject's distinct matching granules in the
-// window without materializing the list (History keeps each subject's
-// symptoms granule-sorted).
-func (c *EvalContext) activeGranuleCount(subject FRUIndex, from, to int64, f Filter) int {
-	n, last := 0, int64(-1)
-	for _, s := range c.Hist.list(subject) {
-		if s.Granule > to {
-			break
-		}
-		if s.Granule < from || (f != nil && !f(s)) {
-			continue
-		}
-		if n == 0 || s.Granule != last {
-			n++
-			last = s.Granule
-		}
-	}
-	return n
-}
-
-// appendActiveGranules appends the subject's distinct matching granules
-// (ascending) to dst and returns the extended slice.
-func (c *EvalContext) appendActiveGranules(dst []int64, subject FRUIndex, from, to int64, f Filter) []int64 {
-	start := len(dst)
-	for _, s := range c.Hist.list(subject) {
-		if s.Granule > to {
-			break
-		}
-		if s.Granule < from || (f != nil && !f(s)) {
-			continue
-		}
-		if len(dst) == start || dst[len(dst)-1] != s.Granule {
-			dst = append(dst, s.Granule)
-		}
-	}
-	return dst
-}
-
-// observerStats returns the number of distinct observers reporting matching
-// symptoms for the subject and, when there is exactly one, that observer
-// (NoFRU otherwise).
-func (c *EvalContext) observerStats(subject FRUIndex, from, to int64, f Filter) (int, FRUIndex) {
-	seen := c.obsScratch[:0]
-	for _, s := range c.Hist.list(subject) {
-		if s.Granule > to {
-			break
-		}
-		if s.Granule < from || (f != nil && !f(s)) {
-			continue
-		}
-		dup := false
-		for _, o := range seen {
-			if o == s.Observer {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			seen = append(seen, s.Observer)
-		}
-	}
-	c.obsScratch = seen[:0]
-	if len(seen) == 1 {
-		return 1, seen[0]
-	}
-	return len(seen), NoFRU
-}
-
 var frameLevel = KindIn(SymOmission, SymCorruption, SymTiming)
 
 // valueViolation matches hard value/time-domain violations of a job's port
@@ -183,7 +115,7 @@ func (o MassiveTransientONA) Evaluate(ctx *EvalContext) []Finding {
 	offs := ctx.hitOffs[:0]
 	for _, hw := range ctx.Reg.HardwareFRUs() {
 		start := len(arena)
-		arena = ctx.appendActiveGranules(arena, hw, from, ctx.Granule, multiBit)
+		arena = ctx.Hist.AppendActiveGranules(arena, hw, from, ctx.Granule, multiBit)
 		if len(arena) > start {
 			frus = append(frus, hw)
 			offs = append(offs, [2]int{start, len(arena)})
@@ -269,8 +201,8 @@ func (o PermanentONA) Evaluate(ctx *EvalContext) []Finding {
 		if ctx.Explained[hw] {
 			continue
 		}
-		omit := ctx.activeGranuleCount(hw, from, ctx.Granule, omissionOnly)
-		timing := ctx.activeGranuleCount(hw, from, ctx.Granule, timingOnly)
+		omit := ctx.Hist.ActiveGranuleCount(hw, from, ctx.Granule, omissionOnly)
+		timing := ctx.Hist.ActiveGranuleCount(hw, from, ctx.Granule, timingOnly)
 		n := omit
 		pattern := "permanent-silence"
 		if timing > omit {
@@ -280,7 +212,8 @@ func (o PermanentONA) Evaluate(ctx *EvalContext) []Finding {
 		if float64(n) < ctx.Opts.PermanentDuty*float64(span) {
 			continue
 		}
-		if obs, _ := ctx.observerStats(hw, from, ctx.Granule, omissionOrTiming); obs < 2 {
+		ctx.obsScratch = ctx.Hist.AppendObservers(ctx.obsScratch[:0], hw, from, ctx.Granule, omissionOrTiming)
+		if len(ctx.obsScratch) < 2 {
 			continue
 		}
 		out = append(out, Finding{
@@ -316,8 +249,8 @@ func (o WearoutONA) Evaluate(ctx *EvalContext) []Finding {
 		if ctx.Explained[hw] {
 			continue
 		}
-		early := ctx.activeGranuleCount(hw, from, mid, corruptionOnly)
-		late := ctx.activeGranuleCount(hw, mid+1, ctx.Granule, corruptionOnly)
+		early := ctx.Hist.ActiveGranuleCount(hw, from, mid, corruptionOnly)
+		late := ctx.Hist.ActiveGranuleCount(hw, mid+1, ctx.Granule, corruptionOnly)
 		if early < 1 || late < 4 || float64(late) < ctx.Opts.RiseFactor*float64(early) {
 			continue
 		}
@@ -363,7 +296,7 @@ func (o RecurrentInternalONA) Evaluate(ctx *EvalContext) []Finding {
 		if ctx.Explained[hw] || !ctx.Alpha.Exceeded(hw) {
 			continue
 		}
-		if ctx.activeGranuleCount(hw, from, ctx.Granule, corruptionOnly) < ctx.Opts.MinRecurrentGranules {
+		if ctx.Hist.ActiveGranuleCount(hw, from, ctx.Granule, corruptionOnly) < ctx.Opts.MinRecurrentGranules {
 			continue
 		}
 		out = append(out, Finding{
@@ -397,15 +330,15 @@ func (o ConnectorRxONA) Evaluate(ctx *EvalContext) []Finding {
 	// when an actual finding emits (rare).
 	pairs := ctx.rxPairs[:0]
 	for _, hw := range ctx.Reg.HardwareFRUs() {
-		n, sole := ctx.observerStats(hw, from, ctx.Granule, omissionOnly)
-		if n != 1 {
+		ctx.obsScratch = ctx.Hist.AppendObservers(ctx.obsScratch[:0], hw, from, ctx.Granule, omissionOnly)
+		if len(ctx.obsScratch) != 1 {
 			continue
 		}
 		// A single stray omission is not connector evidence.
 		if ctx.Hist.Count(hw, from, ctx.Granule, omissionOnly) < 2 {
 			continue
 		}
-		pairs = append(pairs, rxPair{observer: sole, subject: hw})
+		pairs = append(pairs, rxPair{observer: ctx.obsScratch[0], subject: hw})
 	}
 	ctx.rxPairs = pairs
 	var out []Finding
@@ -456,14 +389,15 @@ func (o ConnectorTxONA) Evaluate(ctx *EvalContext) []Finding {
 		if ctx.Explained[hw] || !ctx.Alpha.Exceeded(hw) {
 			continue
 		}
-		gs := ctx.activeGranuleCount(hw, from, ctx.Granule, omissionOnly)
+		gs := ctx.Hist.ActiveGranuleCount(hw, from, ctx.Granule, omissionOnly)
 		if gs < ctx.Opts.MinRecurrentGranules {
 			continue
 		}
 		if float64(gs) >= ctx.Opts.PermanentDuty*float64(span) {
 			continue // continuous loss is the permanent pattern
 		}
-		if obs, _ := ctx.observerStats(hw, from, ctx.Granule, omissionOnly); obs < 2 {
+		ctx.obsScratch = ctx.Hist.AppendObservers(ctx.obsScratch[:0], hw, from, ctx.Granule, omissionOnly)
+		if len(ctx.obsScratch) < 2 {
 			continue
 		}
 		out = append(out, Finding{

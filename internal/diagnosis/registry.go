@@ -162,12 +162,6 @@ func (r *Registry) IsHardware(i FRUIndex) bool {
 // returned slice is shared registry state; callers must not modify it.
 func (r *Registry) JobsOn(hw FRUIndex) []FRUIndex { return r.jobsOn[hw] }
 
-// Position returns the coordinates of a hardware FRU.
-func (r *Registry) Position(i FRUIndex) ([2]float64, bool) {
-	p, ok := r.compPos[i]
-	return p, ok
-}
-
 // Distance returns the Euclidean distance between two hardware FRUs (+Inf
 // when either is unknown).
 func (r *Registry) Distance(a, b FRUIndex) float64 {

@@ -134,13 +134,16 @@ func TestHistoryWindowQueries(t *testing.T) {
 	if got := h.Count(1, 0, 100, nil); got != 101 {
 		t.Errorf("unfiltered Count = %d, want 101", got)
 	}
-	obs := h.Observers(1, 0, 100, nil)
+	obs := h.AppendObservers(nil, 1, 0, 100, nil)
 	if len(obs) != 2 {
-		t.Errorf("Observers = %v", obs)
+		t.Errorf("AppendObservers = %v", obs)
 	}
-	gs := h.ActiveGranules(1, 45, 49, KindIn(SymOmission))
-	if len(gs) != 5 || gs[0] != 45 || gs[4] != 49 {
-		t.Errorf("ActiveGranules = %v", gs)
+	gs := h.AppendActiveGranules([]int64{7}, 1, 45, 49, KindIn(SymOmission))
+	if len(gs) != 6 || gs[0] != 7 || gs[1] != 45 || gs[5] != 49 {
+		t.Errorf("AppendActiveGranules = %v", gs)
+	}
+	if n := h.ActiveGranuleCount(1, 45, 49, KindIn(SymOmission)); n != 5 {
+		t.Errorf("ActiveGranuleCount = %d, want 5", n)
 	}
 	if d := h.MaxDeviation(1, 0, 100, nil); d != 5 {
 		t.Errorf("MaxDeviation = %v", d)
@@ -185,7 +188,7 @@ func TestGranulesOverlap(t *testing.T) {
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
 	d := DefaultOptions()
-	if o.EpochRounds != d.EpochRounds || o.AlphaK != d.AlphaK || o.DiagChannelBase != d.DiagChannelBase {
+	if o.EpochRounds != d.EpochRounds || o.AlphaK != d.AlphaK || o.DiagAllocBytes != d.DiagAllocBytes {
 		t.Error("zero options not defaulted")
 	}
 	// Explicit values survive.

@@ -8,6 +8,7 @@ import (
 	"decos/internal/component"
 	"decos/internal/diagnosis"
 	"decos/internal/sim"
+	"decos/internal/vnet"
 )
 
 // Engine checkpoints (DESIGN §12). A checkpoint captures the entire
@@ -49,14 +50,6 @@ func WithRestore(r io.Reader) Option {
 	return func(c *Config) { c.restore = r }
 }
 
-// Restore rebuilds an engine from a checkpoint stream: engine.Restore(r,
-// opts...) is New(append(opts, WithRestore(r))...). The restored run
-// continues bit-identically to the uninterrupted run the checkpoint was
-// taken from.
-func Restore(r io.Reader, opts ...Option) (*Engine, error) {
-	return New(append(append([]Option{}, opts...), WithRestore(r))...)
-}
-
 // Checkpoint encodes the engine's complete state into w. Valid at round
 // boundaries only: after New (round -1), between Run calls, or inside a
 // checkpoint sink. Mid-round state (in-flight slots) is deliberately not
@@ -84,6 +77,50 @@ func (e *Engine) installCheckpointHook() {
 	})
 }
 
+// section is one entry of the engine checkpoint's section table.
+type section struct {
+	name string
+	snap ckpt.Snapshotter
+	// present reports whether this engine carries the subsystem; absent
+	// sections are neither written nor read.
+	present bool
+	// optional sections may be missing from a stream on restore.
+	optional bool
+}
+
+// numSections is the length of the section table.
+const numSections = 13
+
+// sections returns the section table: the order sections are written in
+// and, because restore walks the same table, the restore order. That
+// order is an invariant (DESIGN §12): the scheduler first (drops every
+// event the reconstruction armed, including the initial slot event, and
+// sets the clock), plain state next, the injector last (reinstalls bus
+// hooks — needs the bus's restored hook-id horizon — and re-arms pending
+// timers in original arm order); Bus.Rearm follows the table, so the next
+// slot event queues behind same-instant fault timers, as it did in the
+// uninterrupted run. An array, not a slice, keeps the per-checkpoint walk
+// allocation-free.
+func (e *Engine) sections() [numSections]section {
+	cl := e.Cluster
+	cls := e.classifierSnapshotter()
+	return [numSections]section{
+		{name: "sched", snap: cl.Sched, present: true},
+		{name: "streams", snap: cl.Streams, present: true},
+		{name: "clock", snap: cl.Bus.Clocks, present: cl.Bus.Clocks != nil},
+		{name: "tt", snap: cl.Bus, present: true},
+		{name: "vnet", snap: fabricNetworks{cl.Fabric}, present: true},
+		{name: "fabric", snap: cl.Fabric, present: true},
+		{name: "jobs", snap: clusterJobs{cl}, present: true},
+		{name: "env", snap: cl.Env, present: true},
+		{name: "diag", snap: e.Diag, present: e.Diag != nil},
+		{name: "obd", snap: e.OBD, present: e.OBD != nil},
+		{name: "cls", snap: cls, present: cls != nil, optional: true},
+		{name: "trace", snap: e.Recorder, present: e.Recorder != nil},
+		{name: "faults", snap: e.Injector, present: true},
+	}
+}
+
 func (e *Engine) encode(enc *ckpt.Encoder) {
 	cl := e.Cluster
 	enc.Begin("meta")
@@ -97,60 +134,13 @@ func (e *Engine) encode(enc *ckpt.Encoder) {
 	enc.Bool(e.OBD != nil)
 	enc.Bool(e.Recorder != nil)
 	enc.End()
-
-	enc.Begin("sched")
-	cl.Sched.Snapshot(enc)
-	enc.End()
-	enc.Begin("streams")
-	cl.Streams.Snapshot(enc)
-	enc.End()
-	if cl.Bus.Clocks != nil {
-		enc.Begin("clock")
-		cl.Bus.Clocks.Snapshot(enc)
-		enc.End()
+	for _, sec := range e.sections() {
+		if sec.present {
+			enc.Begin(sec.name)
+			sec.snap.Snapshot(enc)
+			enc.End()
+		}
 	}
-	enc.Begin("tt")
-	cl.Bus.Snapshot(enc)
-	enc.End()
-	enc.Begin("vnet")
-	nets := cl.Fabric.Networks()
-	enc.Int(len(nets))
-	for _, n := range nets {
-		n.Snapshot(enc)
-	}
-	enc.End()
-	enc.Begin("fabric")
-	cl.Fabric.Snapshot(enc)
-	enc.End()
-	enc.Begin("jobs")
-	cl.SnapshotJobs(enc)
-	enc.End()
-	enc.Begin("env")
-	cl.Env.Snapshot(enc)
-	enc.End()
-	if e.Diag != nil {
-		enc.Begin("diag")
-		e.Diag.Snapshot(enc)
-		enc.End()
-	}
-	if e.OBD != nil {
-		enc.Begin("obd")
-		e.OBD.Snapshot(enc)
-		enc.End()
-	}
-	if s := e.classifierSnapshotter(); s != nil {
-		enc.Begin("cls")
-		s.Snapshot(enc)
-		enc.End()
-	}
-	if e.Recorder != nil {
-		enc.Begin("trace")
-		e.Recorder.Snapshot(enc)
-		enc.End()
-	}
-	enc.Begin("faults")
-	e.Injector.Snapshot(enc)
-	enc.End()
 }
 
 // restoreEngine is the WithRestore build path: parse, validate the meta
@@ -185,6 +175,9 @@ func restoreEngine(cfg Config) (e *Engine, err error) {
 	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("engine: restore: meta: %w", err)
 	}
+	if err := unread(d, "meta"); err != nil {
+		return nil, err
+	}
 	if nodes != cfg.Nodes || slotLen != cfg.SlotLen || slotBytes != cfg.SlotBytes {
 		return nil, fmt.Errorf("engine: restore: checkpoint topology %d nodes %v/%dB, options say %d nodes %v/%dB",
 			nodes, slotLen, slotBytes, cfg.Nodes, cfg.SlotLen, cfg.SlotBytes)
@@ -203,72 +196,33 @@ func restoreEngine(cfg Config) (e *Engine, err error) {
 			cl.Bus.Clocks != nil, e.Diag != nil, e.OBD != nil, e.Recorder != nil)
 	}
 
-	// Restore-order invariant: the scheduler first (drops every event the
-	// reconstruction armed, including the initial slot event, and sets the
-	// clock), plain state next, the injector second-to-last (reinstalls
-	// bus hooks — needs the bus's restored hook-id horizon — and re-arms
-	// pending timers in original arm order), the slot chain last (so the
-	// next slot event queues behind same-instant fault timers, as it did
-	// in the uninterrupted run).
-	restore := func(name string, s ckpt.Snapshotter) {
-		if err != nil {
-			return
+	for _, sec := range e.sections() {
+		if !sec.present || (sec.optional && !d.Has(sec.name)) {
+			continue
 		}
-		if err = d.Need(name); err != nil {
-			err = fmt.Errorf("engine: restore: %w", err)
-			return
+		if err := d.Need(sec.name); err != nil {
+			return nil, fmt.Errorf("engine: restore: %w", err)
 		}
-		if rerr := s.Restore(d); rerr != nil {
-			err = fmt.Errorf("engine: restore %s: %w", name, rerr)
+		if err := sec.snap.Restore(d); err != nil {
+			return nil, fmt.Errorf("engine: restore %s: %w", sec.name, err)
 		}
-	}
-	restore("sched", cl.Sched)
-	restore("streams", cl.Streams)
-	if hasClocks {
-		restore("clock", cl.Bus.Clocks)
-	}
-	restore("tt", cl.Bus)
-	if err == nil {
-		if err = d.Need("vnet"); err == nil {
-			nets := cl.Fabric.Networks()
-			if n := d.Len(1 << 16); n != len(nets) && d.Err() == nil {
-				err = fmt.Errorf("engine: restore vnet: checkpoint has %d networks, build made %d", n, len(nets))
-			}
-			for _, n := range nets {
-				if err != nil {
-					break
-				}
-				if rerr := n.Restore(d); rerr != nil {
-					err = fmt.Errorf("engine: restore vnet: %w", rerr)
-				}
-			}
-		} else {
-			err = fmt.Errorf("engine: restore: %w", err)
+		if err := unread(d, sec.name); err != nil {
+			return nil, err
 		}
-	}
-	restore("fabric", cl.Fabric)
-	restore("jobs", clusterJobs{cl})
-	restore("env", cl.Env)
-	if hasDiag {
-		restore("diag", e.Diag)
-	}
-	if hasOBD {
-		restore("obd", e.OBD)
-	}
-	if s := e.classifierSnapshotter(); s != nil && d.Has("cls") {
-		restore("cls", s)
-	}
-	if hasTrace {
-		restore("trace", e.Recorder)
-	}
-	restore("faults", e.Injector)
-	if err != nil {
-		return nil, err
 	}
 	cl.Bus.Rearm()
 	e.rounds = rounds
 	e.installCheckpointHook()
 	return e, nil
+}
+
+// unread rejects a section the restore did not consume to its end: a
+// leftover byte means encoder and restore disagree on the section layout.
+func unread(d *ckpt.Decoder, name string) error {
+	if n := d.Remaining(); n != 0 {
+		return fmt.Errorf("engine: restore %s: %d unread bytes at end of section", name, n)
+	}
+	return nil
 }
 
 // classifierSnapshotter returns the active classification stage as a
@@ -294,3 +248,28 @@ type clusterJobs struct{ cl *component.Cluster }
 
 func (j clusterJobs) Snapshot(e *ckpt.Encoder)      { j.cl.SnapshotJobs(e) }
 func (j clusterJobs) Restore(d *ckpt.Decoder) error { return j.cl.RestoreJobs(d) }
+
+// fabricNetworks adapts the fabric's virtual networks, stored as one
+// counted list, to the Snapshotter shape used by the section table.
+type fabricNetworks struct{ f *vnet.Fabric }
+
+func (v fabricNetworks) Snapshot(e *ckpt.Encoder) {
+	nets := v.f.Networks()
+	e.Int(len(nets))
+	for _, n := range nets {
+		n.Snapshot(e)
+	}
+}
+
+func (v fabricNetworks) Restore(d *ckpt.Decoder) error {
+	nets := v.f.Networks()
+	if n := d.Len(1 << 16); n != len(nets) && d.Err() == nil {
+		return fmt.Errorf("checkpoint has %d networks, build made %d", n, len(nets))
+	}
+	for _, n := range nets {
+		if err := n.Restore(d); err != nil {
+			return err
+		}
+	}
+	return nil
+}

@@ -34,7 +34,7 @@ func fig10Ckpt(w *bytes.Buffer, extra ...engine.Option) *scenario.System {
 		engine.WithFaults(richManifest),
 		engine.WithTraceWriter(w, trace.Options{AllFrames: true, TrustEveryEpochs: 2}),
 	}, extra...)
-	return scenario.Fig10With(20050404, diagnosis.Options{}, opts...)
+	return scenario.Fig10(20050404, diagnosis.Options{}, opts...)
 }
 
 func checkpointBytes(t *testing.T, e *engine.Engine) []byte {
@@ -150,17 +150,17 @@ func TestRestoreValidatesOptions(t *testing.T) {
 	sys := fig10Ckpt(&w)
 	data := checkpointBytes(t, sys.Engine)
 
-	if _, err := engine.Restore(bytes.NewReader(data),
+	if _, err := engine.New(engine.WithRestore(bytes.NewReader(data)),
 		engine.WithTopology(5, 250*sim.Microsecond, 256),
 		engine.WithSeed(20050404)); err == nil {
 		t.Error("restore with mismatched topology should fail")
 	}
-	if _, err := engine.Restore(bytes.NewReader(data),
+	if _, err := engine.New(engine.WithRestore(bytes.NewReader(data)),
 		engine.WithTopology(4, 250*sim.Microsecond, 256),
 		engine.WithSeed(99)); err == nil {
 		t.Error("restore with mismatched seed should fail")
 	}
-	if _, err := engine.Restore(bytes.NewReader([]byte("not a checkpoint")),
+	if _, err := engine.New(engine.WithRestore(bytes.NewReader([]byte("not a checkpoint"))),
 		engine.WithTopology(4, 250*sim.Microsecond, 256)); err == nil {
 		t.Error("restore from garbage should fail")
 	}

@@ -2,12 +2,15 @@ package engine_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"flag"
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"decos/internal/ckpt"
 	"decos/internal/diagnosis"
 	"decos/internal/engine"
 	"decos/internal/scenario"
@@ -83,6 +86,72 @@ func TestGoldenCheckpointV1(t *testing.T) {
 	if !bytes.Equal(re.Bytes(), want) {
 		t.Fatal("restore → re-encode of the v1 fixture is not the identity")
 	}
+}
+
+// TestRestoreRejectsUnreadBytes: every section of the v1 fixture is read
+// to its last byte, so one extra byte at the end of any section body is
+// encoder/restore layout drift and must fail the restore, naming the
+// section.
+func TestRestoreRejectsUnreadBytes(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", goldenCkptFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := sectionNames(t, golden)
+	if len(names) < 10 {
+		t.Fatalf("fixture has only sections %v", names)
+	}
+	for _, name := range names {
+		_, err := restoreGolden(withTrailingByte(t, golden, name))
+		if err == nil || !strings.Contains(err.Error(), "restore "+name+": 1 unread bytes") {
+			t.Errorf("section %q with a trailing byte: err = %v", name, err)
+		}
+	}
+}
+
+// walkSections re-frames a checkpoint stream section by section, passing
+// each name and body through edit, and returns the rebuilt stream.
+func walkSections(t *testing.T, stream []byte, edit func(name string, body []byte) []byte) []byte {
+	t.Helper()
+	out := append([]byte(nil), stream[:len(ckpt.Magic)+1]...)
+	rest := stream[len(out):]
+	for {
+		nameLen, n := binary.Uvarint(rest)
+		if n <= 0 {
+			t.Fatal("truncated section header")
+		}
+		rest = rest[n:]
+		if nameLen == 0 {
+			return binary.AppendUvarint(out, 0)
+		}
+		name := string(rest[:nameLen])
+		rest = rest[nameLen:]
+		bodyLen, n := binary.Uvarint(rest)
+		body := edit(name, rest[n:n+int(bodyLen)])
+		rest = rest[n+int(bodyLen):]
+		out = binary.AppendUvarint(out, nameLen)
+		out = append(out, name...)
+		out = binary.AppendUvarint(out, uint64(len(body)))
+		out = append(out, body...)
+	}
+}
+
+func sectionNames(t *testing.T, stream []byte) []string {
+	var names []string
+	walkSections(t, stream, func(name string, body []byte) []byte {
+		names = append(names, name)
+		return body
+	})
+	return names
+}
+
+func withTrailingByte(t *testing.T, stream []byte, section string) []byte {
+	return walkSections(t, stream, func(name string, body []byte) []byte {
+		if name == section {
+			return append(append([]byte(nil), body...), 0)
+		}
+		return body
+	})
 }
 
 // FuzzCheckpointReader throws arbitrary bytes at the restore path and

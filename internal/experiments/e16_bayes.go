@@ -204,7 +204,7 @@ func E16BayesCalibration(seed uint64) *Result {
 				return e16Verdict{class: class, conf: 1, found: ok}
 			}, nComp, culprits, subject.Component, act.Class)
 
-			sysB := scenario.Fig10With(runSeed, diagnosis.Options{},
+			sysB := scenario.Fig10(runSeed, diagnosis.Options{},
 				engine.WithClassifier(bayes.New()))
 			actB := sysB.Inject(kind, sim.Time(300*sim.Millisecond), sim.Time(3*sim.Second))
 			sysB.Run(3000)

@@ -33,8 +33,8 @@ func E4Patterns(seed uint64) *Result {
 		hist := sys.Diag.Assessor.Hist
 		hw0, _ := sys.Diag.Reg.HardwareIndex(0)
 		g := hist.Latest()
-		firstHalf := len(hist.ActiveGranules(hw0, 0, g/2, diagnosis.KindIn(diagnosis.SymCorruption)))
-		secondHalf := len(hist.ActiveGranules(hw0, g/2+1, g, diagnosis.KindIn(diagnosis.SymCorruption)))
+		firstHalf := hist.ActiveGranuleCount(hw0, 0, g/2, diagnosis.KindIn(diagnosis.SymCorruption))
+		secondHalf := hist.ActiveGranuleCount(hw0, g/2+1, g, diagnosis.KindIn(diagnosis.SymCorruption))
 		affected := corruptedComponents(sys, g)
 		devEarly := maxJobDeviation(sys, 0, 0, g/2)
 		devLate := maxJobDeviation(sys, 0, g/2+1, g)
@@ -59,7 +59,7 @@ func E4Patterns(seed uint64) *Result {
 		comps := 0
 		maxBits := 0.0
 		for _, hw := range sys.Diag.Reg.HardwareFRUs() {
-			gs := hist.ActiveGranules(hw, 0, g, diagnosis.KindIn(diagnosis.SymCorruption))
+			gs := hist.AppendActiveGranules(nil, hw, 0, g, diagnosis.KindIn(diagnosis.SymCorruption))
 			if len(gs) == 0 {
 				continue
 			}
@@ -92,22 +92,22 @@ func E4Patterns(seed uint64) *Result {
 		hist := sys.Diag.Assessor.Hist
 		g := hist.Latest()
 		hw0, _ := sys.Diag.Reg.HardwareIndex(0)
-		omit := hist.ActiveGranules(hw0, 0, g, diagnosis.KindIn(diagnosis.SymOmission))
+		omit := hist.ActiveGranuleCount(hw0, 0, g, diagnosis.KindIn(diagnosis.SymOmission))
 		comps := 0
 		for _, hw := range sys.Diag.Reg.HardwareFRUs() {
-			if len(hist.ActiveGranules(hw, 0, g, diagnosis.KindIn(diagnosis.SymOmission))) > 0 {
+			if hist.ActiveGranuleCount(hw, 0, g, diagnosis.KindIn(diagnosis.SymOmission)) > 0 {
 				comps++
 			}
 		}
-		duty := float64(len(omit)) / float64(g-200+1)
+		duty := float64(omit) / float64(g-200+1)
 		corr := hist.Count(hw0, 0, g, diagnosis.KindIn(diagnosis.SymCorruption))
 		t.row("connector",
 			fmt.Sprintf("arbitrary, duty %.0f%% of granules", 100*duty),
 			fmt.Sprintf("%d component(s)", comps),
-			fmt.Sprintf("omissions on channel (%d granules; %d corruptions)", len(omit), corr))
+			fmt.Sprintf("omissions on channel (%d granules; %d corruptions)", omit, corr))
 		metrics["connector_duty"] = duty
 		metrics["connector_components"] = float64(comps)
-		metrics["connector_omission_granules"] = float64(len(omit))
+		metrics["connector_omission_granules"] = float64(omit)
 	}
 
 	return &Result{
@@ -121,7 +121,7 @@ func E4Patterns(seed uint64) *Result {
 func corruptedComponents(sys *scenario.System, g int64) int {
 	n := 0
 	for _, hw := range sys.Diag.Reg.HardwareFRUs() {
-		if len(sys.Diag.Assessor.Hist.ActiveGranules(hw, 0, g, diagnosis.KindIn(diagnosis.SymCorruption))) > 0 {
+		if sys.Diag.Assessor.Hist.ActiveGranuleCount(hw, 0, g, diagnosis.KindIn(diagnosis.SymCorruption)) > 0 {
 			n++
 		}
 	}

@@ -53,7 +53,7 @@ func E10Scale(seed uint64) *Result {
 	t := newTable("components", "rounds/s", "symptoms", "verdict on culprit", "correct")
 	metrics := map[string]float64{}
 	for _, n := range []int{4, 8, 16, 32} {
-		sys := scenario.Grid(n, seed+uint64(n), diagnosis.Options{})
+		sys := scenario.GridWith(n, seed+uint64(n), diagnosis.Options{})
 		culprit := n / 2
 		sys.Injector.ConnectorTx(ttNodeID(culprit), sim.Time(100*sim.Millisecond), 0, 0.3)
 		const rounds = 2000

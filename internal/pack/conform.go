@@ -110,43 +110,12 @@ func (r *Report) Format() string {
 	return b.String()
 }
 
-// ConformSingle runs a single-vehicle pack against every classifier and
-// scores its expectations. Campaign packs are scored by the scenario
-// layer (which owns the fleet campaign driver); calling this on one
-// returns an error result.
-func ConformSingle(ctx context.Context, m *Manifest) *PackResult {
-	return ConformSingleFor(ctx, m, Classifiers)
-}
-
-// ConformSingleFor is ConformSingle restricted to the named classifiers
-// (the -classifier CLI flags time one stage without paying for the
-// others).
-func ConformSingleFor(ctx context.Context, m *Manifest, clss []string) *PackResult {
-	pr := &PackResult{Name: m.Name, Source: m.Source, Seed: m.Seed, Rounds: m.Rounds}
-	if m.Campaign != nil {
-		pr.Error = "campaign pack: score through the scenario conformance runner"
-		return pr
-	}
-	pr.Pass = true
-	for _, cls := range clss {
-		cs, err := conformClassifier(ctx, m, cls)
-		if err != nil {
-			pr.Error = err.Error()
-			pr.Pass = false
-			return pr
-		}
-		pr.Classifiers = append(pr.Classifiers, *cs)
-		if !cs.Pass {
-			pr.Pass = false
-		}
-	}
-	return pr
-}
-
-// conformClassifier runs the pack once under the named classifier and
-// scores every expectation scoped to it. The manifest's own classifier
-// selection is bypassed: conformance always pins the stage explicitly.
-func conformClassifier(ctx context.Context, m *Manifest, cls string) (*ClassifierScore, error) {
+// ConformClassifier runs a single-vehicle pack once under the named
+// classifier and scores every expectation scoped to it. The manifest's
+// own classifier selection is bypassed: conformance always pins the stage
+// explicitly. Campaign packs are scored by scenario.Conform, which owns the
+// fleet campaign driver.
+func ConformClassifier(ctx context.Context, m *Manifest, cls string) (*ClassifierScore, error) {
 	start := time.Now()
 	mc := *m
 	mc.Classifier = ""

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"decos/internal/core"
@@ -294,7 +293,7 @@ func (c Campaign) RunContext(ctx context.Context) *CampaignResult { return c.run
 // verdicts, trust samples, injections, end-of-run audit) and hands it to
 // sink — the off-line warranty-analysis interface of Section V-B at fleet
 // scale. Recording only observes, so the returned result is bit-identical
-// to Run's for the same seeds. Workers ≤ 0 uses runtime.NumCPU().
+// to Run's for the same seeds.
 func (c Campaign) RunTraced(sink TraceSink) *CampaignResult {
 	return c.RunTracedContext(context.Background(), sink)
 }
@@ -302,9 +301,6 @@ func (c Campaign) RunTraced(sink TraceSink) *CampaignResult {
 // RunTracedContext is RunTraced under a context, with RunContext's
 // partial-result semantics; cancelled vehicles hand nothing to sink.
 func (c Campaign) RunTracedContext(ctx context.Context, sink TraceSink) *CampaignResult {
-	if c.Workers <= 0 {
-		c.Workers = runtime.NumCPU()
-	}
 	return c.run(ctx, sink)
 }
 

@@ -53,16 +53,12 @@ type System struct {
 const DiagNode tt.NodeID = 3
 
 // Fig10 builds the canonical system with the given seed and diagnostic
-// options. The cluster is started and ready to run.
-func Fig10(seed uint64, opts diagnosis.Options) *System {
-	return fig10Engine(seed, opts, nil)
-}
-
-// Fig10With is Fig10 with extra engine options composed onto the
-// canonical configuration — trace sinks, fault manifests, classifier
-// selection (engine.WithOBDClassifier and friends).
-func Fig10With(seed uint64, opts diagnosis.Options, extra ...engine.Option) *System {
-	return fig10Engine(seed, opts, extra)
+// options; extra engine options compose onto the canonical configuration
+// — trace sinks, fault manifests, classifier selection
+// (engine.WithOBDClassifier and friends). The cluster is started and
+// ready to run.
+func Fig10(seed uint64, opts diagnosis.Options, extra ...engine.Option) *System {
+	return (&System{}).assemble(seed, opts, extra)
 }
 
 // InjectPlan is one planned campaign injection: the randomized targeting
@@ -75,7 +71,7 @@ type InjectPlan struct {
 	Horizon sim.Time
 }
 
-// Fig10Faulted is Fig10With with the injections routed through the
+// Fig10Faulted is Fig10 with the injections routed through the
 // engine's fault manifest instead of applied after build. This is the
 // checkpoint-compatible form: engine.WithRestore reconstructs a run by
 // re-executing the manifest, so injections living outside it would be
@@ -107,13 +103,6 @@ func Fig10Restored(r io.Reader, seed uint64, opts diagnosis.Options, plan []Inje
 		}),
 		engine.WithRestore(r),
 	}, extra...))
-}
-
-// fig10Engine assembles the Fig. 10 system through the run engine; extra
-// options (a trace sink, a fault manifest) compose onto the canonical
-// configuration.
-func fig10Engine(seed uint64, opts diagnosis.Options, extra []engine.Option) *System {
-	return (&System{}).assemble(seed, opts, extra)
 }
 
 func (sys *System) assemble(seed uint64, opts diagnosis.Options, extra []engine.Option) *System {

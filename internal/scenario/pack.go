@@ -59,19 +59,28 @@ func CampaignFromManifest(m *pack.Manifest) Campaign {
 // fleet twice — one pass with the DECOS pipeline (which audits the OBD
 // baseline alongside, yielding two legs for one run cost) and one pass
 // with the Bayesian pipeline. The pack's own classifier selection is
-// ignored: conformance always pins the stage per leg.
-func Conform(ctx context.Context, m *pack.Manifest) *pack.PackResult {
-	return ConformFor(ctx, m, pack.Classifiers)
-}
-
-// ConformFor is Conform restricted to the named classifiers; campaign
-// legs that are not asked for are not simulated.
-func ConformFor(ctx context.Context, m *pack.Manifest, clss []string) *pack.PackResult {
+// ignored: conformance always pins the stage per leg. Naming classifiers
+// restricts the run to them (no names means all of pack.Classifiers);
+// campaign legs that are not asked for are not simulated.
+func Conform(ctx context.Context, m *pack.Manifest, classifiers ...string) *pack.PackResult {
+	if len(classifiers) == 0 {
+		classifiers = pack.Classifiers
+	}
 	if m.Campaign == nil {
-		return pack.ConformSingleFor(ctx, m, clss)
+		pr := &pack.PackResult{Name: m.Name, Source: m.Source, Seed: m.Seed, Rounds: m.Rounds, Pass: true}
+		for _, cls := range classifiers {
+			cs, err := pack.ConformClassifier(ctx, m, cls)
+			if err != nil {
+				pr.Error, pr.Pass = err.Error(), false
+				return pr
+			}
+			pr.Classifiers = append(pr.Classifiers, *cs)
+			pr.Pass = pr.Pass && cs.Pass
+		}
+		return pr
 	}
 	want := map[string]bool{}
-	for _, cls := range clss {
+	for _, cls := range classifiers {
 		want[cls] = true
 	}
 	legs := map[string]pack.CampaignLeg{}

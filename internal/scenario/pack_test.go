@@ -65,7 +65,7 @@ func TestManifestFig10ByteIdentical(t *testing.T) {
 		rounds = 600
 	)
 	goAPI := traceOf(t, rounds, func(w *bytes.Buffer) *engine.Engine {
-		sys := Fig10With(seed, diagnosis.Options{},
+		sys := Fig10(seed, diagnosis.Options{},
 			engine.WithFaults(func(inj *faults.Injector) {
 				inj.DefectiveQuartz(1, sim.Time(200*sim.Millisecond), 90_000)
 				cl := inj.Cluster()

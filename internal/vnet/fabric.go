@@ -269,18 +269,6 @@ func (f *Fabric) segments(node tt.NodeID) []segment {
 	return f.layout[node]
 }
 
-// PortsAt returns all in-ports subscribed at the given node, in channel
-// order (stable across runs). The diagnostic monitors scan these.
-func (f *Fabric) PortsAt(node tt.NodeID) []*InPort {
-	var out []*InPort
-	for _, p := range f.sortedPorts() {
-		if p.Node == node {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
 // PortTotals are the fabric-wide sums of every subscribed port's
 // observation statistics — the virtual-network layer's telemetry view
 // (CRC drops, misses, queue overflows, detected losses).

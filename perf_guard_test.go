@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"decos/internal/bayes"
 	"decos/internal/diagnosis"
 	"decos/internal/engine"
 	"decos/internal/experiments"
@@ -88,6 +89,35 @@ func TestAllocGuardAssessorEpoch(t *testing.T) {
 	}
 }
 
+// TestAllocGuardBayesEpoch bounds one Bayesian classification epoch over
+// the same loaded history: the stage's window scans (observer and episode
+// queries) append into scratch the classifier owns (measured 1 alloc/epoch;
+// 16 when the scans returned fresh slices).
+func TestAllocGuardBayesEpoch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("cluster warm-up in -short mode")
+	}
+	sys := scenario.Fig10(20050404, diagnosis.Options{}, engine.WithClassifier(bayes.New()))
+	sys.Injector.ConnectorTx(0, 0, 0, 0.3)
+	sys.Run(2000)
+	a := sys.Diag.Assessor
+
+	granule := int64(2000)
+	var now sim.Time
+	run := func() {
+		granule++
+		now++
+		a.EvaluateNow(granule, now)
+	}
+	run() // warm the epoch scratch
+
+	allocs := testing.AllocsPerRun(50, run)
+	t.Logf("bayes epoch: %.1f allocs/epoch", allocs)
+	if allocs > 4 {
+		t.Errorf("bayes epoch allocates %.1f objects, want <= 4", allocs)
+	}
+}
+
 // TestAllocGuardTelemetryRound is the zero-overhead contract of the
 // telemetry subsystem, measured: a Fig. 10 cluster round with a nil
 // registry must allocate exactly what an entirely un-optioned cluster
@@ -98,7 +128,7 @@ func TestAllocGuardTelemetryRound(t *testing.T) {
 		t.Skip("cluster warm-up in -short mode")
 	}
 	perRound := func(extra ...engine.Option) float64 {
-		sys := scenario.Fig10With(20050404, diagnosis.Options{}, extra...)
+		sys := scenario.Fig10(20050404, diagnosis.Options{}, extra...)
 		sys.Run(200) // warm pools, scratch and trust histories
 		const roundsPerRun = 64
 		allocs := testing.AllocsPerRun(5, func() { sys.Run(roundsPerRun) })
