@@ -57,13 +57,13 @@ cluster-demo:
 # Cluster scaling measurement: delivered uplink throughput for 1 vs 4
 # latency-bound shards, gated at >= 2x (the BENCH_pr6.json artifact).
 cluster-bench:
-	./scripts/cluster-bench.sh -gate 0.5
+	./scripts/bench.sh cluster -gate 0.5
 
 # Ingest-encoding measurement: single-peer trace decode and collector
 # ingest for binary vs NDJSON, gated at >= 5x events/sec (the
 # BENCH_pr7.json artifact).
 ingest-bench:
-	./scripts/ingest-bench.sh -gate 0.2 -o BENCH_pr7.json
+	./scripts/bench.sh ingest -gate 0.2 -o BENCH_pr7.json
 
 # Scenario-pack conformance gate: every manifest under packs/ scored
 # against both classifiers (cmd/decos-conform via scripts/conform.sh).

@@ -39,7 +39,7 @@ func main() {
 			sys.Injector.SensorStuck(sys.Replicas[1], sim.Time(400*sim.Millisecond), 55)
 		}
 
-		sys.Engine.RunRounds(3000)
+		sys.Run(3000)
 
 		// The vehicle uploads its job-inherent verdicts as field data.
 		for _, verdict := range sys.Diag.Assessor.CurrentAll() {

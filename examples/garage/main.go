@@ -42,7 +42,7 @@ func faultyCar() (*scenario.System, *faults.Activation) {
 
 func drive(sys *scenario.System, rounds int64) int {
 	before := sys.Diag.Assessor.SymptomsReceived
-	sys.Engine.RunRounds(rounds)
+	sys.Run(rounds)
 	return sys.Diag.Assessor.SymptomsReceived - before
 }
 

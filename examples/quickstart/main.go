@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"decos/internal/component"
@@ -66,8 +67,9 @@ func main() {
 	)
 	fmt.Println("injected:", act)
 
-	// 2. Run three simulated seconds and read the verdict.
-	eng.RunRounds(4000)
+	// 2. Run three simulated seconds and read the verdict. Run fails only
+	//    when its context is cancelled, which Background never is.
+	_ = eng.Run(context.Background(), 4000)
 
 	v, ok := eng.Diag.VerdictOf(core.HardwareFRU(0))
 	if !ok {
@@ -93,7 +95,7 @@ func main() {
 			inj.ConnectorTx(0, sim.Time(100*sim.Millisecond), 0, 0.3)
 		}),
 	)
-	obdEng.RunRounds(4000)
+	_ = obdEng.Run(context.Background(), 4000)
 	fmt.Printf("\nsame fault through the %s classifier: ", obdEng.Diag.Assessor.Classifier().Name())
 	if ov, ok := obdEng.Diag.VerdictOf(core.HardwareFRU(0)); ok {
 		fmt.Printf("%s → %s\n", ov.Class, ov.Action)

@@ -40,7 +40,7 @@ func main() {
 			inj.EMIBurst(sim.Time(800*sim.Millisecond), 5.5, 0, 1.2, 10*sim.Millisecond, 4)
 		}))
 
-	sys.Engine.RunRounds(4000)
+	sys.Run(4000)
 
 	hwA, _ := sys.Diag.Reg.HardwareIndex(0)
 	hwB, _ := sys.Diag.Reg.HardwareIndex(2)

@@ -1,7 +1,6 @@
 package component
 
 import (
-	"context"
 	"fmt"
 	"sort"
 
@@ -115,26 +114,6 @@ func (e *Environment) Restore(d *ckpt.Decoder) error {
 		}
 	}
 	return d.Err()
-}
-
-// RunToRound advances the simulation to the end of round r-1, i.e. until
-// r full TDMA rounds have completed since t=0. Unlike RunRounds, the
-// deadline is absolute, so chained calls (checkpoint cadences, chunked
-// campaigns) land on exactly the same instants as one uninterrupted run.
-func (cl *Cluster) RunToRound(r int64) {
-	target := sim.Time(r*cl.Cfg.RoundDuration().Micros()) - 1
-	if target > cl.Sched.Now() {
-		cl.Sched.RunUntil(target)
-	}
-}
-
-// RunToRoundCtx is RunToRound with cooperative cancellation.
-func (cl *Cluster) RunToRoundCtx(ctx context.Context, r int64) error {
-	target := sim.Time(r*cl.Cfg.RoundDuration().Micros()) - 1
-	if target > cl.Sched.Now() {
-		return cl.Sched.RunUntilCtx(ctx, target)
-	}
-	return nil
 }
 
 // Snapshot/Restore for the stateful standard jobs. Every field that

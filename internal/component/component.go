@@ -277,19 +277,25 @@ func (cl *Cluster) Start() error {
 	return nil
 }
 
-// RunRounds advances the simulation by n full TDMA rounds.
-func (cl *Cluster) RunRounds(n int64) {
-	target := cl.Sched.Now().Add(sim.Duration(n * cl.Cfg.RoundDuration().Micros()))
-	cl.Sched.RunUntil(target - 1)
+// RunRounds advances the simulation until Completed()+n rounds have
+// completed: to the last microsecond before round Completed()+n starts.
+// Rounds lie on a fixed grid from t=0, so a run split into calls of a and b
+// rounds ends on the same instant as one call of a+b. It returns ctx.Err()
+// when the context is cancelled mid-run — the cluster then halts partway
+// through a round, which stays uncompleted and so counts toward the next
+// call's n — and nil on completion. A context that cannot be cancelled
+// costs nothing.
+func (cl *Cluster) RunRounds(ctx context.Context, n int64) error {
+	rd := cl.Cfg.RoundDuration().Micros()
+	return cl.Sched.RunUntil(ctx, sim.Time((cl.Completed()+n)*rd-1))
 }
 
-// RunRoundsCtx is RunRounds with cooperative cancellation: it returns
-// ctx.Err() when the context is cancelled mid-run (the cluster is then
-// stopped partway through a round) and nil on completion. A nil or
-// never-cancelled context is free and byte-identical to RunRounds.
-func (cl *Cluster) RunRoundsCtx(ctx context.Context, n int64) error {
-	target := cl.Sched.Now().Add(sim.Duration(n * cl.Cfg.RoundDuration().Micros()))
-	return cl.Sched.RunUntilCtx(ctx, target-1)
+// Completed returns the number of TDMA rounds whose last microsecond has
+// passed. A checkpoint taken in a round hook sits just before its round's
+// last microsecond, so a run restored from it counts that round as
+// uncompleted.
+func (cl *Cluster) Completed() int64 {
+	return (int64(cl.Sched.Now()) + 1) / cl.Cfg.RoundDuration().Micros()
 }
 
 // Round returns the current TDMA round.

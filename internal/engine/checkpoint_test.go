@@ -2,6 +2,7 @@ package engine_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"decos/internal/diagnosis"
@@ -56,7 +57,7 @@ func TestRestoreByteIdentical(t *testing.T) {
 	// Golden: uninterrupted run, no checkpointing at all.
 	var goldTrace bytes.Buffer
 	gold := fig10Ckpt(&goldTrace)
-	gold.Cluster.RunToRound(total)
+	gold.Engine.Run(context.Background(), total)
 	goldFinal := checkpointBytes(t, gold.Engine)
 
 	// Checkpointing run: same seed, sink every 40 rounds.
@@ -72,7 +73,7 @@ func TestRestoreByteIdentical(t *testing.T) {
 		return nil
 	}
 	run2 := fig10Ckpt(&ckptTrace, engine.WithCheckpointSink(sink, 40))
-	run2.Cluster.RunToRound(total)
+	run2.Engine.Run(context.Background(), total)
 	if run2.Engine.CkptErr != nil {
 		t.Fatalf("checkpoint sink error: %v", run2.Engine.CkptErr)
 	}
@@ -105,7 +106,7 @@ func TestRestoreByteIdentical(t *testing.T) {
 		if v, want := res.Engine.StateVersion(), p.round+1; v != want {
 			t.Errorf("restored StateVersion = %d, want %d", v, want)
 		}
-		res.Cluster.RunToRound(total)
+		res.Cluster.RunRounds(context.Background(), total-res.Cluster.Completed())
 		if got := checkpointBytes(t, res.Engine); !bytes.Equal(got, goldFinal) {
 			t.Errorf("run restored from round %d: final state differs from uninterrupted run", p.round)
 			continue
@@ -126,7 +127,7 @@ func TestRestoreAtBoot(t *testing.T) {
 	var goldTrace bytes.Buffer
 	gold := fig10Ckpt(&goldTrace)
 	boot := checkpointBytes(t, gold.Engine)
-	gold.Cluster.RunToRound(60)
+	gold.Engine.Run(context.Background(), 60)
 	goldFinal := checkpointBytes(t, gold.Engine)
 
 	var resTrace bytes.Buffer
@@ -134,7 +135,7 @@ func TestRestoreAtBoot(t *testing.T) {
 	if v := res.Engine.StateVersion(); v != 0 {
 		t.Errorf("StateVersion = %d at boot restore, want 0", v)
 	}
-	res.Cluster.RunToRound(60)
+	res.Engine.Run(context.Background(), 60)
 	if got := checkpointBytes(t, res.Engine); !bytes.Equal(got, goldFinal) {
 		t.Fatal("run restored from boot checkpoint differs from direct run")
 	}

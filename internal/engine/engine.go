@@ -286,17 +286,9 @@ func MustNew(opts ...Option) *Engine {
 	return e
 }
 
-// Run advances the cluster by n TDMA rounds under the context: it returns
-// ctx.Err() when cancelled mid-run (the cluster halts partway, observable
-// state intact) and nil on completion. context.Background() — or any
-// context that cannot be cancelled — is free and keeps runs bit-identical
-// to the ctx-free path.
-func (e *Engine) Run(ctx context.Context, n int64) error {
-	return e.Cluster.RunRoundsCtx(ctx, n)
-}
-
-// RunRounds advances the cluster by n TDMA rounds without a context.
-func (e *Engine) RunRounds(n int64) { e.Cluster.RunRounds(n) }
+// Run advances the cluster by n TDMA rounds under the context; see
+// component.Cluster.RunRounds.
+func (e *Engine) Run(ctx context.Context, n int64) error { return e.Cluster.RunRounds(ctx, n) }
 
 // Now returns the cluster's current simulated time.
 func (e *Engine) Now() sim.Time { return e.Cluster.Sched.Now() }

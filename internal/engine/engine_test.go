@@ -58,20 +58,33 @@ func TestRunCompletesRounds(t *testing.T) {
 }
 
 // TestRunCancellation: a cancelled context aborts the run mid-way with
-// ctx.Err(); the cluster halts partway with observable state intact.
+// ctx.Err(); the cluster halts partway through a round with observable
+// state intact. Resuming counts that unfinished round toward the next
+// call's n, and the run ends back on the round grid.
 func TestRunCancellation(t *testing.T) {
 	eng := engine.MustNew(smallOptions(1)...)
 	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
+	eng.Cluster.OnRound(func(round int64, _ sim.Time) {
+		if round == 100 {
+			cancel()
+		}
+	})
 	if err := eng.Run(ctx, 1000); err != context.Canceled {
 		t.Fatalf("Run err = %v, want context.Canceled", err)
 	}
 	if got := eng.Round(); got >= 1000 {
-		t.Fatalf("Round = %d after immediate cancel, want < 1000", got)
+		t.Fatalf("Round = %d after cancel, want < 1000", got)
 	}
-	// The engine stays usable: a fresh context resumes the run.
+	rd := sim.Time(eng.Cluster.Cfg.RoundDuration().Micros())
+	done := eng.Cluster.Completed()
+	if (eng.Now()+1)%rd == 0 {
+		t.Fatalf("cancelled on the round grid at %v; the test needs a mid-round stop", eng.Now())
+	}
 	if err := eng.Run(context.Background(), 10); err != nil {
 		t.Fatal(err)
+	}
+	if want := sim.Time(done+10)*rd - 1; eng.Now() != want {
+		t.Fatalf("resumed run ended at %v, want %v (end of round %d)", eng.Now(), want, done+9)
 	}
 }
 
@@ -94,7 +107,7 @@ func TestSinkReceivesEvents(t *testing.T) {
 	if eng.Recorder == nil {
 		t.Fatal("sink configured but no recorder attached")
 	}
-	eng.RunRounds(20)
+	eng.Run(context.Background(), 20)
 	if counting.Total() == 0 {
 		t.Fatal("counting sink observed no events over 20 rounds with AllFrames")
 	}
@@ -109,13 +122,13 @@ func TestTraceWriterMatchesDirectAttach(t *testing.T) {
 	var viaEngine bytes.Buffer
 	eng := engine.MustNew(append(smallOptions(7),
 		engine.WithTraceWriter(&viaEngine, trace.Options{AllFrames: true}))...)
-	eng.RunRounds(30)
+	eng.Run(context.Background(), 30)
 
 	var direct bytes.Buffer
 	eng2 := engine.MustNew(smallOptions(7)...)
 	trace.AttachSink(eng2.Cluster, eng2.Diag, eng2.Injector,
 		trace.NewNDJSONSink(&direct), trace.Options{AllFrames: true})
-	eng2.RunRounds(30)
+	eng2.Run(context.Background(), 30)
 
 	if viaEngine.String() != direct.String() {
 		t.Fatalf("engine-attached trace differs from direct attach:\n%d vs %d bytes",

@@ -41,7 +41,7 @@ func restoreGolden(data []byte) (*scenario.System, error) {
 func generateGoldenCkpt(tb testing.TB) []byte {
 	var tr bytes.Buffer
 	sys := fig10Ckpt(&tr)
-	sys.Cluster.RunToRound(goldenCkptRounds)
+	sys.Run(goldenCkptRounds)
 	var buf bytes.Buffer
 	if err := sys.Engine.Checkpoint(&buf); err != nil {
 		tb.Fatalf("Checkpoint: %v", err)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"decos/internal/component"
@@ -52,6 +53,8 @@ func E1CoreServices(seed uint64) *Result {
 		}),
 	)
 	cl := eng.Cluster
+	// Run fails only on cancellation, and TODO is never cancelled.
+	ctx := context.TODO()
 
 	// Phase 1: healthy run, track precision.
 	worstPrecision := 0.0
@@ -60,7 +63,7 @@ func E1CoreServices(seed uint64) *Result {
 			worstPrecision = p
 		}
 	})
-	cl.RunRounds(2000)
+	_ = eng.Run(ctx, 2000)
 
 	// Phase 2: babbling idiot on node 3 (C3).
 	cl.Bus.SetBabbling(3, true)
@@ -71,7 +74,7 @@ func E1CoreServices(seed uint64) *Result {
 			corrupted++
 		}
 	})
-	cl.RunRounds(1000)
+	_ = eng.Run(ctx, 1000)
 	blocks := cl.Bus.GuardianBlocks
 	cl.Bus.SetBabbling(3, false)
 	phase2 = false
@@ -79,7 +82,7 @@ func E1CoreServices(seed uint64) *Result {
 	// Phase 3: fail-silent node 2 (C4): detection latency + consistency.
 	killRound := cl.Round()
 	cl.Bus.SetAlive(2, false)
-	cl.RunRounds(10)
+	_ = eng.Run(ctx, 10)
 	round := cl.Round()
 	detected := int64(-1)
 	for r := killRound; r <= round; r++ {

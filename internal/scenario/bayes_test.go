@@ -86,7 +86,7 @@ func TestBayesCheckpointRestoreRerun(t *testing.T) {
 	}
 
 	resumed := build(engine.WithRestore(bytes.NewReader(ck.Bytes())))
-	if err := resumed.Cluster.RunToRoundCtx(context.Background(), rounds); err != nil {
+	if err := resumed.RunCtx(context.Background(), rounds-cut); err != nil {
 		t.Fatal(err)
 	}
 	var got bytes.Buffer

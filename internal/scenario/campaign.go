@@ -106,8 +106,29 @@ func (s *System) Inject(kind FaultKind, at sim.Time, horizon sim.Time) *faults.A
 // wired, see Fig10Faulted) and counterfactual replay (decos-whatif
 // injects hypotheses into a restored engine).
 func (s *System) InjectWith(inj *faults.Injector, kind FaultKind, at sim.Time, horizon sim.Time) *faults.Activation {
+	comp := tt.NodeID(inj.Cluster().Streams.Stream("campaign").Intn(3))
+	return s.inject(inj, kind, comp, at)
+}
+
+// InjectAt is InjectWith with the hardware target pinned to an explicit
+// component instead of drawn from the campaign stream. It exists for
+// counterfactual replay (decos-whatif's wrong-FRU hypothesis: the same
+// fault kind manifesting on a different component); kinds without a
+// component target — EMI, software and configuration faults — fall back
+// to InjectWith's randomized targeting.
+func (s *System) InjectAt(inj *faults.Injector, kind FaultKind, comp tt.NodeID, at sim.Time, horizon sim.Time) *faults.Activation {
+	switch kind {
+	case KindEMI, KindConfig, KindBohrbug, KindHeisenbug, KindJobCrash, KindSensorStuck, KindSensorDrift:
+		return s.InjectWith(inj, kind, at, horizon)
+	}
+	return s.inject(inj, kind, comp, at)
+}
+
+// inject applies one fault of the given kind at at, on component comp
+// where the kind has a hardware target; any further randomized parameter
+// draws from the campaign stream.
+func (s *System) inject(inj *faults.Injector, kind FaultKind, comp tt.NodeID, at sim.Time) *faults.Activation {
 	rng := inj.Cluster().Streams.Stream("campaign")
-	comp := tt.NodeID(rng.Intn(3))
 	switch kind {
 	case KindEMI:
 		// Epicenter near a random pair of proximate components.
@@ -153,42 +174,6 @@ func (s *System) InjectWith(inj *faults.Injector, kind FaultKind, at sim.Time, h
 	}
 }
 
-// InjectAt is InjectWith with the hardware target pinned to an explicit
-// component instead of drawn from the campaign stream. It exists for
-// counterfactual replay (decos-whatif's wrong-FRU hypothesis: the same
-// fault kind manifesting on a different component); kinds without a
-// component target — EMI, software and configuration faults — fall back
-// to InjectWith's randomized targeting.
-func (s *System) InjectAt(inj *faults.Injector, kind FaultKind, comp tt.NodeID, at sim.Time, horizon sim.Time) *faults.Activation {
-	rng := inj.Cluster().Streams.Stream("campaign")
-	switch kind {
-	case KindSEU:
-		return inj.SEU(at, comp)
-	case KindConnectorTx:
-		return inj.ConnectorTx(comp, at, 0, 0.2+0.3*rng.Float64())
-	case KindConnectorRx:
-		return inj.ConnectorRx(comp, at, 0, 0.2+0.3*rng.Float64())
-	case KindWearout:
-		acc := faults.WearoutAcceleration{
-			Onset:           at,
-			Tau:             400 * sim.Millisecond,
-			BaseRatePerHour: 3600 * 4,
-			MaxFactor:       40,
-		}
-		return inj.Wearout(comp, acc, 3600*20)
-	case KindIntermittent:
-		return inj.IntermittentInternal(comp, at, 3600*6, 0)
-	case KindPermanent:
-		return inj.PermanentFailSilent(comp, at)
-	case KindQuartz:
-		return inj.DefectiveQuartz(comp, at, 50_000+rng.Float64()*100_000)
-	case KindPowerDip:
-		return inj.PowerDip(comp, at, faults.TransientOutage)
-	default:
-		return s.InjectWith(inj, kind, at, horizon)
-	}
-}
-
 // Campaign describes a fleet-scale fault-injection experiment: Vehicles
 // independent Fig. 10 systems, each running Rounds TDMA rounds with one
 // fault drawn from Mix (a share of vehicles stays fault-free to measure
@@ -221,13 +206,6 @@ type Campaign struct {
 	// reports the baseline while CampaignResult.DECOS reports whatever
 	// stage runs in the pipeline.
 	Classifier string
-	// ChunkRounds > 0 runs every vehicle in chunks of that many rounds,
-	// checkpointing the engine between chunks and restoring each
-	// continuation into a freshly built engine (engine.WithRestore). The
-	// result is bit-identical to an unchunked run — this is the campaign-
-	// scale exercise of the checkpoint determinism contract, and the
-	// execution shape of resumable long-horizon campaigns.
-	ChunkRounds int64
 	// Opts tunes the diagnostic subsystem.
 	Opts diagnosis.Options
 }
@@ -358,7 +336,7 @@ func (c Campaign) run(ctx context.Context, sink TraceSink) *CampaignResult {
 		}
 		// The injections ride in the fault manifest (Fig10Faulted), not as
 		// post-build calls: a manifest is what a checkpoint restore can
-		// reconstruct, so chunked execution replays it per chunk.
+		// reconstruct.
 		horizon := sim.Time(c.Rounds * tt.UniformSchedule(4, 250*sim.Microsecond, 256).RoundDuration().Micros())
 		plan := make([]InjectPlan, 0, len(p.kinds))
 		for i, kind := range p.kinds {
@@ -367,31 +345,7 @@ func (c Campaign) run(ctx context.Context, sink TraceSink) *CampaignResult {
 			})
 		}
 		sys := Fig10Faulted(p.seed, c.Opts, plan, extra...)
-		if c.ChunkRounds > 0 {
-			// Chunked resume: run, checkpoint, rebuild restored, repeat.
-			// The trace buffer is shared across chunk engines — the restored
-			// recorder's cursors continue the stream seamlessly.
-			for ran := int64(0); ran < c.Rounds; {
-				step := c.ChunkRounds
-				if ran+step > c.Rounds {
-					step = c.Rounds - ran
-				}
-				ran += step
-				if err := sys.Cluster.RunToRoundCtx(ctx, ran); err != nil {
-					return false
-				}
-				if ran >= c.Rounds {
-					break
-				}
-				var ck bytes.Buffer
-				if err := sys.Engine.Checkpoint(&ck); err != nil {
-					panic(fmt.Sprintf("scenario: chunk checkpoint: %v", err))
-				}
-				sys = Fig10Faulted(p.seed, c.Opts, plan,
-					append(append([]engine.Option{}, extra...),
-						engine.WithRestore(bytes.NewReader(ck.Bytes())))...)
-			}
-		} else if err := sys.RunCtx(ctx, c.Rounds); err != nil {
+		if err := sys.RunCtx(ctx, c.Rounds); err != nil {
 			return false
 		}
 		rec := sys.Engine.Recorder

@@ -79,13 +79,7 @@ type InjectPlan struct {
 // in plan order.
 func Fig10Faulted(seed uint64, opts diagnosis.Options, plan []InjectPlan, extra ...engine.Option) *System {
 	sys := &System{}
-	return sys.assemble(seed, opts, append([]engine.Option{
-		engine.WithFaults(func(inj *faults.Injector) {
-			for _, p := range plan {
-				sys.InjectWith(inj, p.Kind, p.At, p.Horizon)
-			}
-		}),
-	}, extra...))
+	return sys.assemble(seed, opts, append([]engine.Option{sys.faultManifest(plan)}, extra...))
 }
 
 // Fig10Restored rebuilds a Fig. 10 system from an engine checkpoint:
@@ -96,13 +90,17 @@ func Fig10Faulted(seed uint64, opts diagnosis.Options, plan []InjectPlan, extra 
 func Fig10Restored(r io.Reader, seed uint64, opts diagnosis.Options, plan []InjectPlan, extra ...engine.Option) (*System, error) {
 	sys := &System{}
 	return sys.assembleE(seed, opts, append([]engine.Option{
-		engine.WithFaults(func(inj *faults.Injector) {
-			for _, p := range plan {
-				sys.InjectWith(inj, p.Kind, p.At, p.Horizon)
-			}
-		}),
-		engine.WithRestore(r),
+		sys.faultManifest(plan), engine.WithRestore(r),
 	}, extra...))
+}
+
+// faultManifest is the engine fault manifest that injects plan in order.
+func (sys *System) faultManifest(plan []InjectPlan) engine.Option {
+	return engine.WithFaults(func(inj *faults.Injector) {
+		for _, p := range plan {
+			sys.InjectWith(inj, p.Kind, p.At, p.Horizon)
+		}
+	})
 }
 
 func (sys *System) assemble(seed uint64, opts diagnosis.Options, extra []engine.Option) *System {
@@ -147,11 +145,10 @@ func (s *System) buildFig10(cl *component.Cluster) {
 	s.Voter = s.VoterJob.Impl.(*component.VoterJob)
 }
 
-// Run advances the system by n TDMA rounds.
-func (s *System) Run(n int64) { s.Cluster.RunRounds(n) }
+// Run advances the system by n TDMA rounds. It cannot fail: RunCtx fails
+// only on cancellation, and Background is never cancelled.
+func (s *System) Run(n int64) { _ = s.RunCtx(context.Background(), n) }
 
-// RunCtx advances the system by n TDMA rounds under the context; it
-// returns ctx.Err() when cancelled mid-run, nil on completion.
-func (s *System) RunCtx(ctx context.Context, n int64) error {
-	return s.Cluster.RunRoundsCtx(ctx, n)
-}
+// RunCtx advances the system by n TDMA rounds under the context; see
+// component.Cluster.RunRounds.
+func (s *System) RunCtx(ctx context.Context, n int64) error { return s.Cluster.RunRounds(ctx, n) }

@@ -47,7 +47,7 @@ func traceOf(t *testing.T, n int64, build func(w *bytes.Buffer) *engine.Engine) 
 	t.Helper()
 	var buf bytes.Buffer
 	eng := build(&buf)
-	eng.RunRounds(n)
+	eng.Run(context.Background(), n)
 	return buf.Bytes()
 }
 

@@ -73,7 +73,7 @@ type Scheduler struct {
 	pooled    uint64
 	stopped   bool
 
-	// deadline is the horizon of the active Run/RunUntil call; InlineTo
+	// deadline is the horizon of the active RunUntil call; InlineTo
 	// refuses to advance the clock past it so inlined work never overruns
 	// the caller's bound.
 	deadline Time
@@ -167,7 +167,7 @@ func (s *Scheduler) AtFunc(at Time, name string, fn BoundFn, a0, a1 int64) {
 // queue — the fast path for a hot self-rescheduling callback that would
 // otherwise push and immediately pop its own next event. It succeeds only
 // when doing so is indistinguishable from scheduling and firing: no pending
-// event is due at or before t, t does not overrun the active Run/RunUntil
+// event is due at or before t, t does not overrun the active RunUntil
 // deadline, and Stop has not been called. On success the clock moves to t,
 // the fired counter advances as if an event ran, and the caller proceeds
 // inline; on failure the caller must schedule normally.
@@ -196,7 +196,7 @@ func (s *Scheduler) Cancel(e *Event) {
 	heap.Remove(&s.queue, e.index)
 }
 
-// Stop makes the current Run/RunUntil call return after the in-flight event
+// Stop makes the current RunUntil call return after the in-flight event
 // completes. Pending events remain queued.
 func (s *Scheduler) Stop() { s.stopped = true }
 
@@ -221,47 +221,23 @@ func (s *Scheduler) Step() bool {
 	return true
 }
 
-// RunUntil fires events in order until the queue is empty, Stop is called, or
-// the next event would be after deadline. Time is left at the later of the
-// last fired event and deadline.
-func (s *Scheduler) RunUntil(deadline Time) {
-	s.stopped = false
-	s.deadline = deadline
-	defer func() { s.deadline = maxTime }()
-	for !s.stopped && len(s.queue) > 0 && s.queue[0].At <= deadline {
-		s.Step()
-	}
-	if !s.stopped && s.now < deadline {
-		s.now = deadline
-	}
-}
-
-// Run fires events until the queue is empty or Stop is called.
-func (s *Scheduler) Run() {
-	s.stopped = false
-	s.deadline = maxTime
-	for !s.stopped && s.Step() {
-	}
-}
-
-// ctxPollEvents is how many events RunUntilCtx fires between context
-// polls. The poll is two loads on a cancellable context; amortizing it
-// keeps the dispatch loop at its RunUntil cost while bounding cancellation
+// ctxPollEvents is how many events RunUntil fires between polls of a
+// cancellable context. The poll is two loads; amortizing it keeps the
+// dispatch loop at its uncancellable cost while bounding cancellation
 // latency to well under a simulated round.
 const ctxPollEvents = 1024
 
-// RunUntilCtx is RunUntil with cooperative cancellation: the context is
-// polled every ctxPollEvents fired events, and on cancellation the loop
-// stops after the in-flight event with the clock left mid-run (it does NOT
-// jump to the deadline — the caller observes exactly how far the run got).
-// It returns ctx.Err() when cancelled, nil on normal completion. A nil or
-// never-cancelled context (Done() == nil) takes the plain RunUntil path
-// with zero overhead, so existing deterministic runs are byte-identical.
-func (s *Scheduler) RunUntilCtx(ctx context.Context, deadline Time) error {
-	if ctx == nil || ctx.Done() == nil {
-		s.RunUntil(deadline)
-		return nil
-	}
+// RunUntil fires events in order until the queue is empty, Stop is called,
+// ctx is cancelled, or the next event would be after deadline. On
+// completion time is left at the later of the last fired event and
+// deadline (after Stop, at the last fired event), and RunUntil returns
+// nil. A cancellable context is polled
+// every ctxPollEvents fired events; on cancellation the loop stops after
+// the in-flight event with the clock left where the run got to — it does
+// not jump to the deadline — and RunUntil returns ctx.Err(). A context
+// that can never be cancelled (Done() == nil) is never polled.
+func (s *Scheduler) RunUntil(ctx context.Context, deadline Time) error {
+	done := ctx.Done()
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -271,10 +247,12 @@ func (s *Scheduler) RunUntilCtx(ctx context.Context, deadline Time) error {
 	poll := ctxPollEvents
 	for !s.stopped && len(s.queue) > 0 && s.queue[0].At <= deadline {
 		s.Step()
-		if poll--; poll == 0 {
-			poll = ctxPollEvents
-			if err := ctx.Err(); err != nil {
-				return err
+		if done != nil {
+			if poll--; poll == 0 {
+				poll = ctxPollEvents
+				if err := ctx.Err(); err != nil {
+					return err
+				}
 			}
 		}
 	}

@@ -1,9 +1,16 @@
 package sim
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 )
+
+// drain fires every queued event, leaving the clock at the last one.
+func drain(s *Scheduler) {
+	for s.Step() {
+	}
+}
 
 func TestSchedulerFiresInTimeOrder(t *testing.T) {
 	s := NewScheduler()
@@ -12,7 +19,7 @@ func TestSchedulerFiresInTimeOrder(t *testing.T) {
 		at := at
 		s.At(at, "e", func() { got = append(got, at) })
 	}
-	s.Run()
+	drain(s)
 	want := []Time{10, 20, 30, 40, 50}
 	if len(got) != len(want) {
 		t.Fatalf("fired %d events, want %d", len(got), len(want))
@@ -31,7 +38,7 @@ func TestSchedulerFIFOTieBreak(t *testing.T) {
 		i := i
 		s.At(100, "tie", func() { got = append(got, i) })
 	}
-	s.Run()
+	drain(s)
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("same-time events fired out of scheduling order: %v", got)
@@ -46,7 +53,7 @@ func TestSchedulerNowAdvances(t *testing.T) {
 			t.Errorf("Now() = %v inside event at 25", s.Now())
 		}
 	})
-	s.Run()
+	drain(s)
 	if s.Now() != 25 {
 		t.Errorf("final Now() = %v, want 25", s.Now())
 	}
@@ -55,7 +62,7 @@ func TestSchedulerNowAdvances(t *testing.T) {
 func TestSchedulerPastSchedulingPanics(t *testing.T) {
 	s := NewScheduler()
 	s.At(100, "advance", func() {})
-	s.Run()
+	drain(s)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("scheduling in the past did not panic")
@@ -69,7 +76,7 @@ func TestSchedulerCancel(t *testing.T) {
 	fired := false
 	e := s.At(10, "victim", func() { fired = true })
 	s.Cancel(e)
-	s.Run()
+	drain(s)
 	if fired {
 		t.Error("canceled event fired")
 	}
@@ -88,7 +95,7 @@ func TestSchedulerCancelOneOfMany(t *testing.T) {
 	s.At(20, "b", func() { got = append(got, "b") })
 	s.At(30, "c", func() { got = append(got, "c") })
 	s.Cancel(a)
-	s.Run()
+	drain(s)
 	if len(got) != 2 || got[0] != "b" || got[1] != "c" {
 		t.Errorf("got %v, want [b c]", got)
 	}
@@ -100,7 +107,12 @@ func TestSchedulerRunUntil(t *testing.T) {
 	for _, at := range []Time{10, 20, 30, 40} {
 		s.At(at, "e", func() { fired++ })
 	}
-	s.RunUntil(25)
+	run := func(deadline Time) {
+		if err := s.RunUntil(context.Background(), deadline); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run(25)
 	if fired != 2 {
 		t.Errorf("fired %d events by t=25, want 2", fired)
 	}
@@ -110,7 +122,7 @@ func TestSchedulerRunUntil(t *testing.T) {
 	if s.Pending() != 2 {
 		t.Errorf("Pending() = %d, want 2", s.Pending())
 	}
-	s.RunUntil(100)
+	run(100)
 	if fired != 4 {
 		t.Errorf("fired %d events total, want 4", fired)
 	}
@@ -119,12 +131,41 @@ func TestSchedulerRunUntil(t *testing.T) {
 	}
 }
 
+// TestSchedulerRunUntilCancel: a cancelled context stops the loop at its
+// next poll with the clock where the run got to, not at the deadline; an
+// already-cancelled context fires nothing; a fresh context resumes.
+func TestSchedulerRunUntilCancel(t *testing.T) {
+	s := NewScheduler()
+	ctx, cancel := context.WithCancel(context.Background())
+	for i := 1; i <= 3*ctxPollEvents; i++ {
+		s.At(Time(i), "e", func() {})
+	}
+	s.At(1, "cancel", cancel)
+	for range 2 {
+		if err := s.RunUntil(ctx, 10*ctxPollEvents); err != context.Canceled {
+			t.Fatalf("RunUntil err = %v, want context.Canceled", err)
+		}
+		if s.Fired() != ctxPollEvents || s.Now() != ctxPollEvents-1 {
+			t.Fatalf("cancelled at Fired() = %d, Now() = %v; want %d, %v",
+				s.Fired(), s.Now(), ctxPollEvents, Time(ctxPollEvents-1))
+		}
+	}
+	if err := s.RunUntil(context.Background(), 10*ctxPollEvents); err != nil {
+		t.Fatal(err)
+	}
+	if s.Pending() != 0 || s.Now() != 10*ctxPollEvents {
+		t.Errorf("resumed run left %d pending at %v", s.Pending(), s.Now())
+	}
+}
+
 func TestSchedulerStop(t *testing.T) {
 	s := NewScheduler()
 	var fired int
 	s.At(10, "a", func() { fired++; s.Stop() })
 	s.At(20, "b", func() { fired++ })
-	s.Run()
+	if err := s.RunUntil(context.Background(), 100); err != nil {
+		t.Fatal(err)
+	}
 	if fired != 1 {
 		t.Errorf("fired %d, want 1 (stopped after first)", fired)
 	}
@@ -140,7 +181,7 @@ func TestSchedulerEventsScheduledDuringRun(t *testing.T) {
 		got = append(got, s.Now())
 		s.After(5, "inner", func() { got = append(got, s.Now()) })
 	})
-	s.Run()
+	drain(s)
 	if len(got) != 2 || got[0] != 10 || got[1] != 15 {
 		t.Errorf("got %v, want [10 15]", got)
 	}
@@ -151,7 +192,7 @@ func TestSchedulerFiredCounter(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		s.At(Time(i), "e", func() {})
 	}
-	s.Run()
+	drain(s)
 	if s.Fired() != 7 {
 		t.Errorf("Fired() = %d, want 7", s.Fired())
 	}
@@ -167,7 +208,7 @@ func TestSchedulerOrderProperty(t *testing.T) {
 			at := Time(u)
 			s.At(at, "p", func() { fired = append(fired, at) })
 		}
-		s.Run()
+		drain(s)
 		if len(fired) != len(times) {
 			return false
 		}

@@ -1,6 +1,7 @@
 package tt
 
 import (
+	"context"
 	"testing"
 
 	"decos/internal/clock"
@@ -47,7 +48,7 @@ func newCluster(t *testing.T, n int) (*sim.Scheduler, *Bus, []*recController) {
 
 func runRounds(sched *sim.Scheduler, cfg Config, rounds int64) {
 	// Stop just before the first slot of the next round.
-	sched.RunUntil(sim.Time(rounds*cfg.RoundDuration().Micros() - 1))
+	sched.RunUntil(context.Background(), sim.Time(rounds*cfg.RoundDuration().Micros()-1))
 }
 
 func TestConfigValidate(t *testing.T) {

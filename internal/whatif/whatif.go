@@ -16,6 +16,7 @@ package whatif
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"strings"
@@ -366,8 +367,12 @@ func Run(cfg Config) (*Report, error) {
 		return nil, err
 	}
 
-	fact.Cluster.RunToRound(cfg.Rounds)
-	counter.Cluster.RunToRound(cfg.Rounds)
+	// Both replicas resume from the same checkpoint and run to the end of
+	// the horizon. Run fails only on cancellation, and TODO is never
+	// cancelled.
+	left := cfg.Rounds - fact.Cluster.Completed()
+	_ = fact.Engine.Run(context.TODO(), left)
+	_ = counter.Engine.Run(context.TODO(), left)
 
 	rep.FactualEvents = len(factCap.events)
 	rep.CounterEvents = len(counterCap.events)

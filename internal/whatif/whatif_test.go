@@ -50,7 +50,7 @@ func record(t *testing.T, plan []scenario.InjectPlan, extra ...engine.Option) *r
 	for _, a := range sys.Injector.Ledger() {
 		rec.ledger = append(rec.ledger, a.Culprit.String())
 	}
-	sys.Cluster.RunToRound(testRounds)
+	sys.Run(testRounds)
 	if sys.Engine.CkptErr != nil {
 		t.Fatalf("checkpoint sink: %v", sys.Engine.CkptErr)
 	}

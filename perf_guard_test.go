@@ -2,6 +2,7 @@ package decos
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"runtime"
 	"testing"
@@ -48,7 +49,7 @@ func TestAllocGuardBusSlot(t *testing.T) {
 	var until sim.Time
 	run := func() {
 		until += sim.Time(roundsPerRun * roundUS)
-		sched.RunUntil(until)
+		sched.RunUntil(context.Background(), until)
 	}
 	run() // warm the event pool and bus scratch
 

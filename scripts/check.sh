@@ -28,6 +28,12 @@ go build ./...
 echo "== go test =="
 go test ./...
 
+echo "== perfbench module (vet + test) =="
+# The repository benchmark is its own Go module pinning Engine.Run,
+# System.Run/RunCtx and the Campaign entry points, so the root
+# `go test ./...` above never builds it.
+(cd perfbench && go vet ./... && go test ./...)
+
 echo "== go test -race (concurrent packages) =="
 go test -race ./internal/scenario/... ./internal/warranty/... ./internal/engine/... ./internal/telemetry/...
 
